@@ -55,21 +55,101 @@ pub fn is_connected(g: &PortGraph) -> bool {
 ///
 /// Panics if the graph is disconnected (eccentricity is undefined then).
 pub fn eccentricity(g: &PortGraph, v: NodeId) -> u32 {
-    let d = bfs_distances(g, v);
-    let m = *d.iter().max().expect("non-empty graph");
-    assert_ne!(m, UNREACHABLE, "eccentricity undefined: graph disconnected");
-    m
+    farthest(g, v).1
 }
 
-/// Exact diameter `D = max_v ecc(v)` by running BFS from every node.
+/// Exact diameter `D = max_v ecc(v)`.
 ///
-/// `O(n·(n + m))`; fine for the experiment sizes used in this repository.
+/// One BFS from node 0 checks connectivity and gives `e = ecc(v₀)`, with
+/// `e ≤ D ≤ 2e`. The method then follows the input:
+///
+/// * a tree (`m = n − 1`): a second BFS from the node farthest from `v₀`
+///   (the double sweep, exact on trees), `O(n)`;
+/// * `2e < 64`: a bit-parallel BFS that runs 64 sources per pass,
+///   `O(⌈n/64⌉·(D + 1)·(n + m))`;
+/// * otherwise a BFS from every node, `O(n·(n + m))`.
+///
+/// ```
+/// use rotor_graph::{algo, builders};
+/// assert_eq!(algo::diameter(&builders::binary_tree(15)), 6);
+/// assert_eq!(algo::diameter(&builders::hypercube(5)), 5);
+/// assert_eq!(algo::diameter(&builders::ring(200)), 100);
+/// ```
 ///
 /// # Panics
 ///
 /// Panics if the graph is disconnected.
 pub fn diameter(g: &PortGraph) -> u32 {
+    let (far, ecc0) = farthest(g, NodeId::new(0));
+    if g.edge_count() + 1 == g.node_count() {
+        return farthest(g, far).1;
+    }
+    if 2 * ecc0 < 64 {
+        return bit_parallel_diameter(g);
+    }
     g.nodes().map(|v| eccentricity(g, v)).max().unwrap_or(0)
+}
+
+/// A node farthest from `v` and its distance, `ecc(v)`.
+///
+/// # Panics
+///
+/// Panics if the graph is disconnected.
+fn farthest(g: &PortGraph, v: NodeId) -> (NodeId, u32) {
+    let d = bfs_distances(g, v);
+    let (far, &ecc) = d
+        .iter()
+        .enumerate()
+        .max_by_key(|&(_, &x)| x)
+        .expect("non-empty graph");
+    assert_ne!(
+        ecc, UNREACHABLE,
+        "eccentricity undefined: graph disconnected"
+    );
+    (NodeId::new(far as u32), ecc)
+}
+
+/// Exact diameter by bit-parallel BFS: each pass runs 64 sources at once,
+/// with one `u64` word per node whose bit `i` says whether source `i` has
+/// reached it. A level ORs the frontier words of every node's neighbours,
+/// so a pass costs `O((ecc + 1)·(n + m))` for the largest eccentricity
+/// `ecc` among its sources, and the diameter is the most levels any pass
+/// runs. The graph must be connected.
+fn bit_parallel_diameter(g: &PortGraph) -> u32 {
+    let n = g.node_count();
+    let mut seen = vec![0u64; n];
+    let mut frontier = vec![0u64; n];
+    let mut next = vec![0u64; n];
+    let mut diameter = 0;
+    for base in (0..n).step_by(64) {
+        seen.fill(0);
+        frontier.fill(0);
+        for (i, v) in (base..n.min(base + 64)).enumerate() {
+            seen[v] = 1 << i;
+            frontier[v] = 1 << i;
+        }
+        let mut levels = 0;
+        loop {
+            let mut grew = 0;
+            for (v, node) in g.nodes().enumerate() {
+                let reach = g
+                    .neighbor_slice(node)
+                    .iter()
+                    .fold(0, |acc, &u| acc | frontier[u as usize]);
+                let fresh = reach & !seen[v];
+                seen[v] |= fresh;
+                next[v] = fresh;
+                grew |= fresh;
+            }
+            if grew == 0 {
+                break;
+            }
+            levels += 1;
+            std::mem::swap(&mut frontier, &mut next);
+        }
+        diameter = diameter.max(levels);
+    }
+    diameter
 }
 
 /// Distance between two nodes.

@@ -10,7 +10,7 @@
 //! Port conventions are documented per generator; tests pin them down, since
 //! rotor-router trajectories depend on the port order.
 
-use crate::{NodeId, PortGraph, PortGraphBuilder};
+use crate::{PortGraph, PortGraphBuilder};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -32,11 +32,12 @@ pub fn ring(n: usize) -> PortGraph {
         b.add_edge(0, 1);
         return b.build().expect("edge graph is valid");
     }
-    let n32 = n as u32;
-    let adj: Vec<Vec<u32>> = (0..n32)
-        .map(|v| vec![(v + 1) % n32, (v + n32 - 1) % n32])
+    let n32 = u32::try_from(2 * n).expect("the ring's 2n arcs fit the u32 CSR offsets") / 2;
+    let offsets = (0..=n32).map(|v| 2 * v).collect();
+    let adj = (0..n32)
+        .flat_map(|v| [(v + 1) % n32, (v + n32 - 1) % n32])
         .collect();
-    PortGraph::from_adjacency(adj).expect("ring adjacency is always valid")
+    PortGraph::from_csr(offsets, adj).expect("ring adjacency is always valid")
 }
 
 /// The `n`-node path `P_n` with nodes `0 — 1 — … — n−1`.
@@ -288,72 +289,26 @@ pub fn random_connected(n: usize, p: f64, seed: u64) -> PortGraph {
 pub fn shuffle_ports(g: &PortGraph, seed: u64) -> PortGraph {
     // lint: allow(named-rng-streams) -- seed is derived by callers via STREAM_GRAPH (rotor-sweep scenario dispatch)
     let mut rng = SmallRng::seed_from_u64(seed);
-    let n = g.node_count();
-    let mut adj: Vec<Vec<u32>> = Vec::with_capacity(n);
-    for v in 0..n {
-        let node = NodeId::new(v as u32);
-        let mut order: Vec<usize> = (0..g.degree(node)).collect();
+    let mut offsets = Vec::with_capacity(g.node_count() + 1);
+    let mut adj = Vec::with_capacity(g.arc_count());
+    offsets.push(0);
+    for v in g.nodes() {
+        let mut order: Vec<usize> = (0..g.degree(v)).collect();
         order.shuffle(&mut rng);
-        adj.push(
+        adj.extend(
             order
                 .iter()
-                .map(|&old_port| g.neighbor(node, old_port).value())
-                .collect(),
+                .map(|&old_port| g.neighbor(v, old_port).value()),
         );
+        offsets.push(adj.len() as u32);
     }
-    PortGraph::from_adjacency(adj).expect("shuffled adjacency is valid")
-}
-
-impl PortGraph {
-    /// Builds a port graph directly from an adjacency table: `adj[v]` lists
-    /// the neighbours of `v` in port order.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error string if the table is not symmetric (each edge must
-    /// appear exactly once from each side), contains self-loops or
-    /// duplicates, or describes a disconnected graph.
-    pub fn from_adjacency(adj: Vec<Vec<u32>>) -> Result<PortGraph, String> {
-        let n = adj.len();
-        if n == 0 {
-            return Err("empty adjacency table".to_string());
-        }
-        let mut back: Vec<Vec<u32>> = adj.iter().map(|l| vec![u32::MAX; l.len()]).collect();
-        let mut edge_count = 0usize;
-        for v in 0..n {
-            let mut seen = std::collections::BTreeSet::new();
-            for (p, &u) in adj[v].iter().enumerate() {
-                if u as usize >= n {
-                    return Err(format!("neighbour {u} out of range"));
-                }
-                if u as usize == v {
-                    return Err(format!("self-loop at {v}"));
-                }
-                if !seen.insert(u) {
-                    return Err(format!("duplicate neighbour {u} at node {v}"));
-                }
-                let q = adj[u as usize]
-                    .iter()
-                    .position(|&w| w as usize == v)
-                    .ok_or_else(|| format!("edge {v}-{u} not symmetric"))?;
-                back[v][p] = q as u32;
-                if (v as u32) < u {
-                    edge_count += 1;
-                }
-            }
-        }
-        let g = PortGraph::from_parts(adj, back, edge_count);
-        if !crate::algo::is_connected(&g) {
-            return Err("graph is not connected".to_string());
-        }
-        Ok(g)
-    }
+    PortGraph::from_csr(offsets, adj).expect("shuffled adjacency is valid")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo;
+    use crate::{algo, NodeId};
 
     #[test]
     fn ring_ports_are_directional() {

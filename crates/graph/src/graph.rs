@@ -114,6 +114,15 @@ pub enum GraphError {
     Disconnected,
     /// The graph has no nodes.
     Empty,
+    /// The graph does not fit the `u32` indices of the CSR layout: more
+    /// than `u32::MAX` nodes or more than `u32::MAX` arcs (`2|E|`).
+    TooLarge {
+        /// Number of nodes requested.
+        nodes: u64,
+        /// Number of arcs requested (0 when the node count alone is too
+        /// large).
+        arcs: u64,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -128,6 +137,12 @@ impl fmt::Display for GraphError {
             }
             GraphError::Disconnected => write!(f, "graph is not connected"),
             GraphError::Empty => write!(f, "graph has no nodes"),
+            GraphError::TooLarge { nodes, arcs } => {
+                write!(
+                    f,
+                    "graph of {nodes} nodes and {arcs} arcs exceeds the u32 index range"
+                )
+            }
         }
     }
 }
@@ -298,23 +313,107 @@ impl PortGraph {
         self.nodes().all(|v| self.degree(v) == d)
     }
 
-    /// Assembles a graph from pre-validated per-node lists, flattening them
-    /// into the CSR arenas (crate-internal; used by [`crate::builders`]).
-    pub(crate) fn from_parts(adj: Vec<Vec<u32>>, back: Vec<Vec<u32>>, edge_count: usize) -> Self {
-        debug_assert_eq!(adj.len(), back.len());
+    /// Builds a port graph directly from an adjacency table: `adj[v]` lists
+    /// the neighbours of `v` in port order.
+    ///
+    /// `O(n + m)`: the lists are flattened into the CSR arena and handed to
+    /// the same validation and back-port pass as the crate's generators use.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error string if the table is not symmetric (each edge must
+    /// appear exactly once from each side), contains self-loops or
+    /// duplicates, describes a disconnected graph, or does not fit the
+    /// `u32` indices. The first fault in `(node, port)` order is reported.
+    pub fn from_adjacency(adj: Vec<Vec<u32>>) -> Result<PortGraph, String> {
+        if adj.is_empty() {
+            return Err("empty adjacency table".to_string());
+        }
+        let arcs: u64 = adj.iter().map(|l| l.len() as u64).sum();
+        check_size(adj.len(), arcs).map_err(|e| e.to_string())?;
         let mut offsets = Vec::with_capacity(adj.len() + 1);
-        let mut total = 0u32;
+        let mut flat = Vec::with_capacity(arcs as usize);
         offsets.push(0);
-        for l in &adj {
-            total += l.len() as u32;
-            offsets.push(total);
+        for list in adj {
+            flat.extend_from_slice(&list);
+            offsets.push(flat.len() as u32);
         }
-        PortGraph {
+        PortGraph::from_csr(offsets, flat)
+    }
+
+    /// Validates a CSR adjacency (`adj[offsets[v]..offsets[v+1]]` lists the
+    /// neighbours of `v` in port order) and derives its back ports, in
+    /// `O(n + m)`.
+    ///
+    /// One stamp scan finds the first out-of-range, self-loop or repeated
+    /// entry. The arcs before it are counting-sorted by head; then, per
+    /// head `u`, the port of each neighbour of `u` is stamped and every arc
+    /// into `u` looks up its tail, which yields its back port or shows the
+    /// table is not symmetric. Errors name the first fault in `(node, port)`
+    /// order, checking range, self-loop, repeat and then symmetry at each
+    /// arc.
+    ///
+    /// `offsets` must hold `n + 1 ≥ 2` non-decreasing entries from 0 to
+    /// `adj.len() ≤ u32::MAX`.
+    pub(crate) fn from_csr(offsets: Vec<u32>, adj: Vec<u32>) -> Result<PortGraph, String> {
+        let n = offsets.len() - 1;
+        debug_assert!(n >= 1 && offsets[0] == 0 && offsets[n] as usize == adj.len());
+        let fault = first_invalid_arc(&offsets, &adj);
+        let valid = fault.as_ref().map_or(adj.len(), |(a, _)| *a);
+        let mut start = vec![0u32; n + 1];
+        for &u in &adj[..valid] {
+            start[u as usize + 1] += 1;
+        }
+        for u in 0..n {
+            start[u + 1] += start[u];
+        }
+        let mut cursor = start[..n].to_vec();
+        let mut incoming = vec![(0u32, 0u32); valid];
+        for v in 0..n {
+            let ports = offsets[v] as usize..(offsets[v + 1] as usize).min(valid);
+            for a in ports {
+                let slot = &mut cursor[adj[a] as usize];
+                incoming[*slot as usize] = (a as u32, v as u32);
+                *slot += 1;
+            }
+        }
+        let mut back = vec![0u32; adj.len()];
+        let mut stamp = vec![u32::MAX; n];
+        let mut port_of = vec![0u32; n];
+        let mut asymmetric: Option<(u32, u32)> = None;
+        for u in 0..n {
+            let ports = &adj[offsets[u] as usize..offsets[u + 1] as usize];
+            for (q, &w) in ports.iter().enumerate() {
+                if (w as usize) < n {
+                    stamp[w as usize] = u as u32;
+                    port_of[w as usize] = q as u32;
+                }
+            }
+            for &(a, v) in &incoming[start[u] as usize..start[u + 1] as usize] {
+                if stamp[v as usize] == u as u32 {
+                    back[a as usize] = port_of[v as usize];
+                } else if asymmetric.is_none_or(|(b, _)| a < b) {
+                    asymmetric = Some((a, v));
+                }
+            }
+        }
+        if let Some((a, v)) = asymmetric {
+            return Err(format!("edge {v}-{} not symmetric", adj[a as usize]));
+        }
+        if let Some((_, msg)) = fault {
+            return Err(msg);
+        }
+        let edge_count = adj.len() / 2;
+        let g = PortGraph {
             offsets,
-            adj: adj.into_iter().flatten().collect(),
-            back: back.into_iter().flatten().collect(),
+            adj,
+            back,
             edge_count,
+        };
+        if !crate::algo::is_connected(&g) {
+            return Err("graph is not connected".to_string());
         }
+        Ok(g)
     }
 
     /// Next port after `p` in the cyclic order `ρ_v` at `v`.
@@ -342,38 +441,90 @@ impl fmt::Debug for PortGraph {
     }
 }
 
+/// Refuses, rather than wraps, a graph whose node or arc count does not fit
+/// the `u32` node ids and CSR offsets.
+fn check_size(nodes: usize, arcs: u64) -> Result<(), GraphError> {
+    let limit = u64::from(u32::MAX);
+    if nodes as u64 > limit || arcs > limit {
+        return Err(GraphError::TooLarge {
+            nodes: nodes as u64,
+            arcs,
+        });
+    }
+    Ok(())
+}
+
+/// The first arc, in `(node, port)` order, whose head is out of range, equal
+/// to its tail, or already listed by its tail, with the matching
+/// [`PortGraph::from_adjacency`] message: one `O(n + m)` stamp scan.
+fn first_invalid_arc(offsets: &[u32], adj: &[u32]) -> Option<(usize, String)> {
+    let n = offsets.len() - 1;
+    let mut stamp = vec![u32::MAX; n];
+    for v in 0..n {
+        let ports = offsets[v] as usize..offsets[v + 1] as usize;
+        for (a, &u) in ports.clone().zip(&adj[ports]) {
+            let msg = if u as usize >= n {
+                format!("neighbour {u} out of range")
+            } else if u as usize == v {
+                format!("self-loop at {v}")
+            } else if stamp[u as usize] == v as u32 {
+                format!("duplicate neighbour {u} at node {v}")
+            } else {
+                stamp[u as usize] = v as u32;
+                continue;
+            };
+            return Some((a, msg));
+        }
+    }
+    None
+}
+
 /// Incremental builder for [`PortGraph`].
 ///
 /// Edges are inserted in order; the port order at each node is the insertion
 /// order of its incident edges. Generators in [`crate::builders`] exploit
 /// this to fix meaningful port conventions (e.g. on the ring, port 0 is
 /// always the clockwise direction).
+///
+/// Building costs `O(n + m)`: [`add_edge`](Self::add_edge) only checks its
+/// endpoints and records the edge, and [`build`](Self::build) assembles the
+/// CSR arenas by counting sort, then looks for duplicate edges with one
+/// stamp scan over them.
+///
+/// Errors follow a first-error-wins rule: `build` reports the earliest
+/// invalid `add_edge` call in insertion order, whatever its kind. A
+/// duplicate edge added before a self-loop is therefore the error reported,
+/// although only `build` detects it.
 #[derive(Clone, Debug)]
 pub struct PortGraphBuilder {
     n: u32,
-    adj: Vec<Vec<u32>>,
-    back: Vec<Vec<u32>>,
-    edge_count: usize,
+    /// The edges accepted so far, in insertion order; recording stops at the
+    /// first latched error.
+    edges: Vec<(u32, u32)>,
+    /// The first out-of-range, self-loop or size error of an `add_edge`
+    /// call (duplicates are left to `build`).
     error: Option<GraphError>,
 }
 
 impl PortGraphBuilder {
     /// Starts a graph with `n` isolated nodes.
+    ///
+    /// A node count above `u32::MAX` is latched as
+    /// [`GraphError::TooLarge`] and reported by [`build`](Self::build).
     pub fn new(n: usize) -> Self {
+        let error = check_size(n, 0).err();
         PortGraphBuilder {
-            n: n as u32,
-            adj: vec![Vec::new(); n],
-            back: vec![Vec::new(); n],
-            edge_count: 0,
-            error: None,
+            n: if error.is_some() { 0 } else { n as u32 },
+            edges: Vec::new(),
+            error,
         }
     }
 
     /// Adds the undirected edge `{u, v}`.
     ///
     /// The new edge receives the next free port at `u` and at `v`.
-    /// Errors (out-of-range endpoints, self-loops, duplicates) are latched
-    /// and reported by [`build`](Self::build).
+    /// Errors (out-of-range endpoints, self-loops, duplicates, more than
+    /// `u32::MAX` arcs) are latched and reported by [`build`](Self::build).
     pub fn add_edge(&mut self, u: u32, v: u32) -> &mut Self {
         if self.error.is_some() {
             return self;
@@ -389,17 +540,11 @@ impl PortGraphBuilder {
             self.error = Some(GraphError::SelfLoop(NodeId(u)));
             return self;
         }
-        if self.adj[u as usize].contains(&v) {
-            self.error = Some(GraphError::DuplicateEdge(NodeId(u), NodeId(v)));
+        if let Err(e) = check_size(self.n as usize, 2 * (self.edges.len() as u64 + 1)) {
+            self.error = Some(e);
             return self;
         }
-        let pu = self.adj[u as usize].len() as u32;
-        let pv = self.adj[v as usize].len() as u32;
-        self.adj[u as usize].push(v);
-        self.back[u as usize].push(pv);
-        self.adj[v as usize].push(u);
-        self.back[v as usize].push(pu);
-        self.edge_count += 1;
+        self.edges.push((u, v));
         self
     }
 
@@ -410,13 +555,7 @@ impl PortGraphBuilder {
     /// Returns an error if any `add_edge` call was invalid, if the graph is
     /// empty, or if it is not connected (single-node graphs are accepted).
     pub fn build(self) -> Result<PortGraph, GraphError> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        if self.n == 0 {
-            return Err(GraphError::Empty);
-        }
-        let g = PortGraph::from_parts(self.adj, self.back, self.edge_count);
+        let g = self.build_unchecked_connectivity()?;
         if !crate::algo::is_connected(&g) {
             return Err(GraphError::Disconnected);
         }
@@ -432,14 +571,57 @@ impl PortGraphBuilder {
     /// Returns an error if any `add_edge` call was invalid or the graph is
     /// empty.
     pub fn build_unchecked_connectivity(self) -> Result<PortGraph, GraphError> {
+        let n = self.n as usize;
+        // Counting sort: degrees, prefix sums, then one fill pass in
+        // insertion order, so each node's ports follow its edges' order.
+        let mut offsets = vec![0u32; n + 1];
+        for &(u, v) in &self.edges {
+            offsets[u as usize + 1] += 1;
+            offsets[v as usize + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        let arcs = 2 * self.edges.len();
+        let mut cursor = offsets[..n].to_vec();
+        let mut adj = vec![0u32; arcs];
+        let mut back = vec![0u32; arcs];
+        for &(u, v) in &self.edges {
+            let (pu, pv) = (cursor[u as usize], cursor[v as usize]);
+            adj[pu as usize] = v;
+            adj[pv as usize] = u;
+            back[pu as usize] = pv - offsets[v as usize];
+            back[pv as usize] = pu - offsets[u as usize];
+            cursor[u as usize] += 1;
+            cursor[v as usize] += 1;
+        }
+        if first_invalid_arc(&offsets, &adj).is_some() {
+            return Err(first_duplicate(&self.edges));
+        }
         if let Some(e) = self.error {
             return Err(e);
         }
-        if self.n == 0 {
+        if n == 0 {
             return Err(GraphError::Empty);
         }
-        Ok(PortGraph::from_parts(self.adj, self.back, self.edge_count))
+        Ok(PortGraph {
+            offsets,
+            adj,
+            back,
+            edge_count: self.edges.len(),
+        })
     }
+}
+
+/// The first edge, in insertion order, whose undirected edge was added
+/// before: the slow pass that names the duplicate a stamp scan has found.
+fn first_duplicate(edges: &[(u32, u32)]) -> GraphError {
+    let mut seen = std::collections::BTreeSet::new();
+    let &(u, v) = edges
+        .iter()
+        .find(|&&(u, v)| !seen.insert((u.min(v), u.max(v))))
+        .expect("the stamp scan found a duplicate");
+    GraphError::DuplicateEdge(NodeId(u), NodeId(v))
 }
 
 #[cfg(test)]
@@ -612,6 +794,48 @@ mod tests {
     }
 
     #[test]
+    fn builder_rejects_too_many_nodes() {
+        let n = 1usize << 32;
+        let mut b = PortGraphBuilder::new(n);
+        b.add_edge(0, 1);
+        assert_eq!(
+            b.build().unwrap_err(),
+            GraphError::TooLarge {
+                nodes: 1 << 32,
+                arcs: 0
+            }
+        );
+        assert!(PortGraphBuilder::new(n - 1).error.is_none());
+    }
+
+    #[test]
+    fn size_check_refuses_arc_counts_past_u32() {
+        let max = u64::from(u32::MAX);
+        assert_eq!(check_size(3, max), Ok(()));
+        assert_eq!(
+            check_size(3, max + 1),
+            Err(GraphError::TooLarge {
+                nodes: 3,
+                arcs: max + 1
+            })
+        );
+        assert!(check_size(1 << 32, 0).is_err());
+    }
+
+    #[test]
+    fn duplicate_before_self_loop_wins() {
+        let mut b = PortGraphBuilder::new(3);
+        b.add_edge(0, 1);
+        b.add_edge(1, 2);
+        b.add_edge(2, 1); // duplicate, only found by `build`
+        b.add_edge(0, 0); // latched self-loop, but later
+        assert_eq!(
+            b.build().unwrap_err(),
+            GraphError::DuplicateEdge(NodeId::new(2), NodeId::new(1))
+        );
+    }
+
+    #[test]
     fn error_display_messages() {
         let msgs = [
             GraphError::NodeOutOfRange {
@@ -623,6 +847,11 @@ mod tests {
             GraphError::DuplicateEdge(NodeId::new(0), NodeId::new(1)).to_string(),
             GraphError::Disconnected.to_string(),
             GraphError::Empty.to_string(),
+            GraphError::TooLarge {
+                nodes: 1 << 32,
+                arcs: 0,
+            }
+            .to_string(),
         ];
         for m in &msgs {
             assert!(!m.is_empty());

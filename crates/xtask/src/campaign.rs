@@ -279,8 +279,9 @@ fn median_f64(mut v: Vec<f64>) -> Option<f64> {
 }
 
 /// The `2·D·|E|` lock-in bound of a scenario's graph. Families with a
-/// closed-form diameter skip the all-pairs BFS — on `K_4096` that scan is
-/// `O(n·(n+m))` ≈ 7·10¹⁰ and would dwarf the simulation itself.
+/// closed-form diameter skip [`algo::diameter`]: on `K_4096` even its
+/// bit-parallel BFS costs `⌈n/64⌉·(D + 1)·2m` ≈ 2·10⁹ word operations, far
+/// more than the `O(n + m)` build.
 fn lockin_bound(sc: &Scenario) -> u64 {
     let g = sc.graph();
     let diameter = match sc.family {
