@@ -28,7 +28,7 @@ use std::time::Instant;
 const AGENTS: u32 = 64;
 
 /// Segment counts of the segmented-ring curve (x axis; `P = 1` is the
-/// serial [`rotor_core::RingRouter`] path).
+/// one-segment engine that [`rotor_core::RingRouter::new`] builds).
 const SEGMENTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Batch widths of the batched-ring curve (x axis; the validator pins
@@ -79,7 +79,7 @@ fn measure_segmented_curve(n: usize, k: usize, rounds: u64, reps: usize) -> Vec<
     let mut engines: Vec<SegmentedRing> = SEGMENTS
         .iter()
         .map(|&p| {
-            let mut r = SegmentedRing::new(n, &starts, &dirs, p);
+            let mut r = SegmentedRing::segmented(n, &starts, &dirs, p);
             r.run(rounds / 2 + 1); // warm-up: spread the occupied band
             r
         })
@@ -219,9 +219,8 @@ fn bench(c: &mut Criterion) {
     report.curves.push(curve);
 
     // The segmented ring backend on a worst-case large-n cell: x = P.
-    // P = 1 is the fully instrumented serial router; P ≥ 2 runs the lean
-    // segmented engine, so the curve is the honest price/win of the
-    // backend swap the ring-large-n campaign rides.
+    // Every P runs the same segment kernel, so the curve is the price or
+    // win of cutting one instance into P segments on one thread.
     let (seg_n, seg_k, seg_rounds, seg_reps) = if c.is_test_mode() {
         (4096, 64, 64, 1)
     } else {
@@ -280,9 +279,9 @@ fn bench(c: &mut Criterion) {
 
     // The batched ring engine against the serial per-cell router on the
     // same cell population: x = W. The win is per-cell, not per-round —
-    // the batch drops the per-arrival §2.2 visit bookkeeping and the
-    // three-way merge's held stream, so cells/sec states what a 64-seed
-    // campaign point actually costs under `ROTOR_BATCH`.
+    // the batch pays the per-round fixed costs once for all lanes, so
+    // cells/sec states what a 64-seed campaign point actually costs under
+    // `ROTOR_BATCH`.
     let (b_n, b_k, b_reps) = if c.is_test_mode() {
         (256, 16, 1)
     } else {

@@ -12,12 +12,9 @@
 //! `(n, k)` cells cell-major in shared arenas and advances all still-live
 //! lanes one round per pass, so the per-round fixed costs (scratch
 //! management, loop control, cover checks) are paid once per round instead
-//! of once per round *per seed* — and, like the segmented backends, the
-//! batch keeps exactly the state the acceptance surface needs (covers,
-//! configurations, pointer bits, §2.2 domain/border stats) and drops the
-//! per-arrival `visits[]` / `last_visit[]` bookkeeping the serial engine
-//! maintains for §2.2 visit classification. A 64-wide batch buys 64 seeds
-//! for roughly twice the serial per-cell time.
+//! of once per round *per seed* — and, like the ring engine, the batch
+//! keeps exactly the state the acceptance surface needs (covers,
+//! configurations, pointer bits, §2.2 domain/border stats).
 //!
 //! ## Determinism contract
 //!
@@ -27,10 +24,10 @@
 //! isolated — one lane covering early freezes that lane and cannot perturb
 //! its neighbours. Property tests in `tests/batch_equivalence.rs` pin this
 //! across `W ∈ {1, 2, 7, 64}`, non-divisible remainders and mid-batch
-//! cover. The per-lane round is the *same algorithm* as
-//! [`RingRouter::step`](crate::RingRouter::step): departures walked in ascending node order, the
-//! one possible wrap element rotated home, and the pre-sorted clockwise /
-//! anticlockwise streams combined by the sentinel-driven branchless merge.
+//! cover. The per-lane round is its own implementation of the ring round:
+//! departures walked in ascending node order, the one possible wrap
+//! element rotated home, and the pre-sorted clockwise / anticlockwise
+//! streams combined by a sentinel-driven branchless merge.
 //!
 //! ## What batching does **not** cover
 //!

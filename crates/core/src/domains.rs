@@ -8,12 +8,13 @@
 //! proofs are the maximal contiguous visited segments of the ring in which
 //! an agent zig-zags between its two borders.
 //!
-//! This module consumes the [`VisitRecord`] metadata that [`RingRouter`]
-//! tracks online and exposes the classification plus the current domain
-//! (visited-segment) structure used by the §2.2 arguments.
+//! This module records visits with the opt-in [`VisitLog`] observer and
+//! exposes the classification plus the current domain (visited-segment)
+//! structure used by the §2.2 arguments.
 
+use crate::init::{ACW, CW};
 use crate::process::{CoverProcess, Observer};
-use crate::ring::{RingRouter, VisitRecord};
+use crate::ring::RingRouter;
 
 /// The §2.2 domain/border structure of a configuration, in the cyclic
 /// index space `0..n`.
@@ -24,11 +25,11 @@ use crate::ring::{RingRouter, VisitRecord};
 /// unvisited node (0 once everything is visited).
 ///
 /// Obtained from any backend through
-/// [`CoverProcess::domain_stats`]: the [`RingRouter`] maintains these
-/// counters *incrementally* (`O(agents moved)` per round, `O(1)` per
-/// query), every other backend falls back to the `O(n)`
-/// [`scan_domain_stats`] over [`CoverProcess::is_node_visited`]. Property
-/// tests pin the incremental path bit-identical to the scan.
+/// [`CoverProcess::domain_stats`]: the ring engines maintain these
+/// counters *incrementally* (`O(1)` per first visit, `O(P)` per query on
+/// a `P`-segment [`RingRouter`]), the other backends fall back to the
+/// `O(n)` [`scan_domain_stats`] over [`CoverProcess::is_node_visited`].
+/// Property tests pin the incremental paths bit-identical to the scan.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DomainStats {
     /// Maximal contiguous visited segments (cyclically; 1 at full cover).
@@ -41,7 +42,7 @@ pub struct DomainStats {
 /// [`CoverProcess`]: one scan over
 /// [`is_node_visited`](CoverProcess::is_node_visited) in the cyclic index
 /// space — the default body of [`CoverProcess::domain_stats`] and the
-/// ground truth the [`RingRouter`]'s incremental counters are
+/// ground truth the ring engines' incremental counters are
 /// property-tested against.
 pub fn scan_domain_stats<P: CoverProcess + ?Sized>(p: &P) -> DomainStats {
     let n = p.node_count();
@@ -64,6 +65,24 @@ pub fn scan_domain_stats<P: CoverProcess + ?Sized>(p: &P) -> DomainStats {
     DomainStats { domains, borders }
 }
 
+/// Metadata about the most recent visit to a node, as a [`VisitLog`]
+/// records it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct VisitRecord {
+    /// Round of the visit (`0` for the initial placement).
+    pub round: u64,
+    /// Number of agents that entered in that round (initial placement:
+    /// number of agents placed).
+    pub multiplicity: u32,
+    /// Direction of motion of the arriving agent (meaningful when
+    /// `multiplicity == 1` and `round > 0`): [`CW`] means it arrived from
+    /// `v−1` moving clockwise.
+    pub entry_dir: u8,
+    /// Whether a single-agent visit was a propagation (§2.2). `false` for
+    /// multi-agent visits and for the initial placement.
+    pub propagation: bool,
+}
+
 /// The §2.2 classification of the most recent visit to a node.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum VisitType {
@@ -81,13 +100,16 @@ pub enum VisitType {
 /// Classifies a visit record.
 ///
 /// ```
-/// use rotor_core::domains::{classify, VisitType};
-/// use rotor_core::RingRouter;
+/// use rotor_core::domains::{classify, VisitLog, VisitType};
+/// use rotor_core::{Observer, RingRouter};
 ///
 /// let mut r = RingRouter::new(6, &[1], &[0; 6]); // all pointers clockwise
+/// let mut log = VisitLog::new();
+/// log.observe(&r);
 /// r.step();
+/// log.observe(&r);
 /// // node 2's pointer is clockwise, so the clockwise arrival propagates
-/// assert_eq!(classify(r.last_visit(2).unwrap()), VisitType::Propagation);
+/// assert_eq!(classify(log.last_visit(2).unwrap()), VisitType::Propagation);
 /// ```
 pub fn classify(rec: &VisitRecord) -> VisitType {
     if rec.round == 0 {
@@ -101,10 +123,159 @@ pub fn classify(rec: &VisitRecord) -> VisitType {
     }
 }
 
-/// Classifies the most recent visit to `v`, or `None` if `v` was never
-/// visited.
-pub fn classify_last(router: &RingRouter, v: u32) -> Option<VisitType> {
-    router.last_visit(v).map(classify)
+/// An [`Observer`] of a [`RingRouter`] that keeps the §2.2 per-node visit
+/// records: the visit count `n_v(t)` and the [`VisitRecord`] of the most
+/// recent visit to every node.
+///
+/// The engine itself keeps no per-visit state. The log reconstructs each
+/// round's arrivals from the previous observation's occupied list and
+/// direction bits — every agent at `v` left along `v`'s pointer split —
+/// so an observed round costs `O(k)`, and the `O(n)` record arrays exist
+/// only while a log is attached. It must see the initial configuration
+/// and then every round, each an undelayed [`step`](RingRouter::step), as
+/// [`run_observed`](CoverProcess::run_observed) and
+/// [`run_probed`](CoverProcess::run_probed) drive it; it panics on a first
+/// observation after round 0, on a skipped round, or on arrivals that do
+/// not match the new occupied list (a delayed or perturbed round).
+///
+/// ```
+/// use rotor_core::domains::{VisitLog, VisitType};
+/// use rotor_core::{CoverProcess, RingRouter};
+///
+/// // One agent, every pointer clockwise: a single lap, all propagations.
+/// let mut r = RingRouter::new(16, &[0], &[0; 16]);
+/// let mut log = VisitLog::new();
+/// assert_eq!(r.run_observed(1_000, &mut log), Some(15));
+/// assert!((0..16).all(|v| log.visits(v) == 1));
+/// assert_eq!(log.classify_last(0), Some(VisitType::Initial));
+/// assert_eq!(log.classify_last(15), Some(VisitType::Propagation));
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct VisitLog {
+    /// Round of the last observation (`None` before the first).
+    round: Option<u64>,
+    visits: Vec<u64>,
+    /// Per node; `multiplicity == 0` marks a node never visited.
+    last: Vec<VisitRecord>,
+    /// `(node, count, direction)` of every node occupied at the last
+    /// observation.
+    prev: Vec<(u32, u32, u8)>,
+}
+
+impl VisitLog {
+    /// An empty log, ready to observe a run from round 0.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// `n_v(t)`: visits to `v` in the observed rounds, plus agents placed
+    /// at `v` initially (`0` before the first observation).
+    pub fn visits(&self, v: u32) -> u64 {
+        self.visits.get(v as usize).copied().unwrap_or(0)
+    }
+
+    /// Metadata of the most recent visit to `v`, or `None` if `v` was
+    /// never visited.
+    pub fn last_visit(&self, v: u32) -> Option<&VisitRecord> {
+        self.last.get(v as usize).filter(|r| r.multiplicity > 0)
+    }
+
+    /// Classifies the most recent visit to `v`, or `None` if `v` was never
+    /// visited.
+    pub fn classify_last(&self, v: u32) -> Option<VisitType> {
+        self.last_visit(v).map(classify)
+    }
+
+    /// Remembers the occupied list and its direction bits for the next
+    /// round's reconstruction.
+    fn snapshot(&mut self, r: &RingRouter) {
+        self.prev.clear();
+        self.prev
+            .extend(r.occupied_iter().map(|(v, c)| (v, c, r.direction(v))));
+    }
+}
+
+impl Observer<RingRouter> for VisitLog {
+    fn observe(&mut self, r: &RingRouter) {
+        let round = r.round();
+        let Some(last_round) = self.round else {
+            // First observation: the occupation is the initial placement.
+            assert_eq!(round, 0, "VisitLog must observe from round 0");
+            let n = r.n() as usize;
+            self.visits = vec![0; n];
+            self.last = vec![
+                VisitRecord {
+                    round,
+                    multiplicity: 0,
+                    entry_dir: CW,
+                    propagation: false,
+                };
+                n
+            ];
+            for (v, c) in r.occupied_iter() {
+                self.visits[v as usize] = u64::from(c);
+                self.last[v as usize].multiplicity = c;
+            }
+            self.round = Some(round);
+            self.snapshot(r);
+            return;
+        };
+        assert_eq!(round, last_round + 1, "VisitLog must observe every round");
+        let n = r.n();
+        // Distinct destinations of this round's arrivals.
+        let mut landed = 0;
+        let prev = std::mem::take(&mut self.prev);
+        for &(v, c, d) in &prev {
+            let with_ptr = c.div_ceil(2);
+            let against = c / 2;
+            let (cw_cnt, acw_cnt) = if d == CW {
+                (with_ptr, against)
+            } else {
+                (against, with_ptr)
+            };
+            let cw_dest = if v + 1 == n { 0 } else { v + 1 };
+            let acw_dest = if v == 0 { n - 1 } else { v - 1 };
+            for (dest, cnt, dir) in [(cw_dest, cw_cnt, CW), (acw_dest, acw_cnt, ACW)] {
+                if cnt == 0 {
+                    continue;
+                }
+                let rec = &mut self.last[dest as usize];
+                if rec.round == round {
+                    // The second stream into `dest` this round: a meeting,
+                    // and the clockwise arrival names the entry direction.
+                    rec.multiplicity += cnt;
+                    rec.entry_dir = CW;
+                } else {
+                    *rec = VisitRecord {
+                        round,
+                        multiplicity: cnt,
+                        entry_dir: dir,
+                        propagation: false,
+                    };
+                    landed += 1;
+                }
+                self.visits[dest as usize] += u64::from(cnt);
+            }
+        }
+        self.prev = prev;
+        let mut occupied = 0;
+        for (v, c) in r.occupied_iter() {
+            let rec = &mut self.last[v as usize];
+            assert!(
+                rec.round == round && rec.multiplicity == c,
+                "VisitLog: round {round} arrivals at node {v} do not match the \
+                 configuration (a delayed or perturbed round)"
+            );
+            rec.propagation = c == 1 && r.direction(v) == rec.entry_dir;
+            occupied += 1;
+        }
+        assert_eq!(
+            occupied, landed,
+            "VisitLog: round {round} arrivals do not match the configuration"
+        );
+        self.round = Some(round);
+        self.snapshot(r);
+    }
 }
 
 /// A maximal contiguous segment of visited ring nodes: `len` nodes starting
@@ -198,10 +369,11 @@ pub struct DomainSample {
 /// [`CoverProcess::is_node_visited`] surface, so the sampler attaches
 /// equally to the ring engine, the general engine and the random-walk
 /// baseline without forking any drive loop. Each sample reads
-/// [`CoverProcess::domain_stats`]: `O(1)` on the [`RingRouter`] (which
-/// maintains the counters incrementally), one `O(n)` scan elsewhere — so
-/// every-round sampling (`stride = 1`) is cheap on the ring engine and
-/// the stride matters only for the scan-backed backends.
+/// [`CoverProcess::domain_stats`]: `O(P)` on a `P`-segment
+/// [`RingRouter`] (which maintains the counters incrementally), one
+/// `O(n)` scan elsewhere — so every-round sampling (`stride = 1`) is
+/// cheap on the ring engine and the stride matters only for the
+/// scan-backed backends.
 ///
 /// ```
 /// use rotor_core::domains::DomainSampler;
@@ -258,34 +430,62 @@ impl<P: CoverProcess + ?Sized> Observer<P> for DomainSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::init::{PointerInit, ACW, CW};
+    use crate::init::PointerInit;
     use crate::placement::Placement;
+
+    /// A [`VisitLog`] that watched `rounds` rounds of the router from
+    /// `starts`, `dirs` on the 8-ring.
+    fn logged(starts: &[u32], dirs: &[u8], rounds: u64) -> VisitLog {
+        let mut r = RingRouter::new(8, starts, dirs);
+        let mut log = VisitLog::new();
+        log.observe(&r);
+        for _ in 0..rounds {
+            r.step();
+            log.observe(&r);
+        }
+        log
+    }
 
     #[test]
     fn classify_all_variants() {
         // Initial: untouched starting node.
-        let r = RingRouter::new(8, &[3], &[CW; 8]);
-        assert_eq!(classify_last(&r, 3), Some(VisitType::Initial));
-        assert_eq!(classify_last(&r, 0), None);
+        let log = logged(&[3], &[CW; 8], 0);
+        assert_eq!(log.classify_last(3), Some(VisitType::Initial));
+        assert_eq!(log.classify_last(0), None);
 
         // Propagation: arrival with the pointer.
-        let mut r = RingRouter::new(8, &[3], &[CW; 8]);
-        r.step();
-        assert_eq!(classify_last(&r, 4), Some(VisitType::Propagation));
+        let log = logged(&[3], &[CW; 8], 1);
+        assert_eq!(log.classify_last(4), Some(VisitType::Propagation));
 
         // Reflection: arrival against the pointer.
         let mut dirs = vec![CW; 8];
         dirs[4] = ACW;
-        let mut r = RingRouter::new(8, &[3], &dirs);
-        r.step();
-        assert_eq!(classify_last(&r, 4), Some(VisitType::Reflection));
+        let log = logged(&[3], &dirs, 1);
+        assert_eq!(log.classify_last(4), Some(VisitType::Reflection));
 
         // Meeting: two agents converge.
         let mut dirs = vec![CW; 8];
         dirs[5] = ACW;
-        let mut r = RingRouter::new(8, &[3, 5], &dirs);
+        let log = logged(&[3, 5], &dirs, 1);
+        assert_eq!(log.classify_last(4), Some(VisitType::Meeting));
+    }
+
+    #[test]
+    #[should_panic(expected = "delayed or perturbed")]
+    fn visit_log_rejects_a_delayed_round() {
+        let mut r = RingRouter::new(8, &[2, 2], &[CW; 8]);
+        let mut log = VisitLog::new();
+        log.observe(&r);
+        r.step_delayed(|v, _| u32::from(v == 2));
+        log.observe(&r);
+    }
+
+    #[test]
+    #[should_panic(expected = "from round 0")]
+    fn visit_log_rejects_a_mid_run_attach() {
+        let mut r = RingRouter::new(8, &[2], &[CW; 8]);
         r.step();
-        assert_eq!(classify_last(&r, 4), Some(VisitType::Meeting));
+        VisitLog::new().observe(&r);
     }
 
     #[test]

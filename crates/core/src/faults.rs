@@ -215,20 +215,6 @@ impl Perturb for crate::Engine<'_> {
     }
 }
 
-impl Perturb for crate::SegmentedRing {
-    fn corrupt_pointers(&mut self, seed: u64, count: u32) -> u32 {
-        crate::SegmentedRing::corrupt_pointers(self, seed, count)
-    }
-
-    fn remove_agents(&mut self, seed: u64, count: u32) -> u32 {
-        crate::SegmentedRing::remove_agents(self, seed, count)
-    }
-
-    fn reset_cover_epoch(&mut self) {
-        crate::SegmentedRing::reset_cover_epoch(self);
-    }
-}
-
 impl Perturb for crate::SegmentedTorus {
     fn corrupt_pointers(&mut self, seed: u64, count: u32) -> u32 {
         crate::SegmentedTorus::corrupt_pointers(self, seed, count)
@@ -402,11 +388,11 @@ mod tests {
         let removed = r.remove_agents(0xDEAD, 100);
         assert_eq!(removed, 3, "stops at the last agent");
         assert_eq!(r.agent_count(), 1);
-        assert_eq!(r.occupied_counts().iter().sum::<u32>(), 1);
+        assert_eq!(r.occupied_iter().map(|(_, c)| c).sum::<u32>(), 1);
         // and the survivor still steps without tripping the conservation
         // debug_asserts
         r.step();
-        assert_eq!(r.occupied_counts().iter().sum::<u32>(), 1);
+        assert_eq!(r.occupied_iter().map(|(_, c)| c).sum::<u32>(), 1);
     }
 
     #[test]
@@ -434,7 +420,7 @@ mod tests {
         let round_at_reset = RingRouter::round(&r);
         r.reset_cover_epoch();
         assert_eq!(r.cover_round(), None, "32 nodes, 2 occupied: not covered");
-        assert_eq!(r.unvisited_count(), 32 - r.occupied_nodes().len() as u32);
+        assert_eq!(r.unvisited_count(), 32 - r.occupied().len() as u32);
         let recover = r.run_until_covered(1 << 20).expect("re-covers");
         assert!(recover > round_at_reset);
     }
@@ -444,17 +430,13 @@ mod tests {
         let mut r = covered_ring(48, 3);
         r.run(17); // drift the occupation off the cover configuration
         r.reset_cover_epoch();
-        let scan = crate::domains::scan_domain_stats(&r);
-        assert_eq!(r.domain_count(), scan.domains);
-        assert_eq!(r.border_count(), scan.borders);
+        assert_eq!(r.domain_stats(), crate::domains::scan_domain_stats(&r));
         // keep the incremental counters honest through the re-cover epoch
         while r.cover_round().is_none() {
             r.step();
-            let scan = crate::domains::scan_domain_stats(&r);
-            assert_eq!(r.domain_count(), scan.domains);
-            assert_eq!(r.border_count(), scan.borders);
+            assert_eq!(r.domain_stats(), crate::domains::scan_domain_stats(&r));
         }
-        assert_eq!(r.domain_count(), 1, "covered: one domain");
+        assert_eq!(r.domain_stats().domains, 1, "covered: one domain");
     }
 
     #[test]

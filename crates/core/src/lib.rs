@@ -21,13 +21,14 @@
 //!   and per-arc traversal counts (the identity
 //!   `traversals(v→u) = ⌈(e_v − port_v(u)) / deg(v)⌉` is exposed and
 //!   tested).
-//! * [`RingRouter`] — a ring-specialised engine (pointer = direction bit,
-//!   `O(k log k)` per round) used by the large parameter sweeps, with
-//!   online tracking of the visit metadata needed for domain analysis.
-//! * [`SegmentedRing`] — the intra-instance parallel backend: the ring cut
-//!   into `P` contiguous segments exchanging boundary agent streams at a
-//!   per-round barrier, bit-identical to [`RingRouter`] at every `P`
-//!   (`ROTOR_SEGMENTS` selects `P`; `P = 1` is the serial path).
+//! * [`RingRouter`] — the ring-specialised engine (pointer = direction
+//!   bit, `O(k)` per round) used by the large parameter sweeps: one
+//!   segment kernel, run on the whole ring by [`RingRouter::new`].
+//! * [`SegmentedRing`] — the same engine cut into `P` contiguous segments
+//!   that exchange boundary agent streams at a per-round barrier and may
+//!   run on several threads, bit-identical at every `P` (`ROTOR_SEGMENTS`
+//!   selects `P`). The §2.2 per-visit records are an opt-in observer,
+//!   [`domains::VisitLog`].
 //! * [`SegmentedTorus`] — the same cut off the ring: the `rows × cols`
 //!   torus in `P` contiguous row bands exchanging their two boundary
 //!   *rows* of agent counts (an `O(cols)` message) at the barrier,
@@ -35,8 +36,7 @@
 //! * [`BatchRing`] — the dual, *across-cell* cut: `W` independent
 //!   same-shape ring cells advanced in lockstep in one cell-major SoA
 //!   arena (`ROTOR_BATCH` selects `W`), each lane bit-identical to a
-//!   serial [`RingRouter`] run — one batch buys `W` seeds for roughly
-//!   twice the serial per-cell time.
+//!   serial [`RingRouter`] run.
 //! * [`init`] — the pointer initialisations the paper's theorems use:
 //!   *negative* (toward the nearest agent — every first visit reflects),
 //!   *positive* (away), uniform, random and custom adversarial.
@@ -100,7 +100,7 @@ pub mod segtorus;
 pub use batchring::{BatchRing, LaneSpec};
 pub use engine::{Engine, EngineState};
 pub use process::{CoverProcess, Observer, Probe};
-pub use ring::{RingRouter, RingState, VisitRecord};
+pub use ring::{RingRouter, RingState};
 pub use segring::SegmentedRing;
 pub use segtorus::SegmentedTorus;
 

@@ -112,9 +112,10 @@ pub trait CoverProcess {
     /// The default implementation is one `O(n)` scan
     /// ([`scan_domain_stats`](crate::domains::scan_domain_stats)); the
     /// [`RingRouter`](crate::RingRouter) overrides it with incrementally
-    /// maintained counters (`O(1)` per call), which is what makes
-    /// every-round [`DomainSampler`](crate::domains::DomainSampler)
-    /// attachment affordable on the §2.2 sweeps.
+    /// maintained counters (`O(P)` per call on `P` segments), which is
+    /// what makes every-round
+    /// [`DomainSampler`](crate::domains::DomainSampler) attachment
+    /// affordable on the §2.2 sweeps.
     fn domain_stats(&self) -> crate::domains::DomainStats {
         crate::domains::scan_domain_stats(self)
     }

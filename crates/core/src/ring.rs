@@ -1,4 +1,4 @@
-//! The ring-specialised rotor-router engine.
+//! The ring rotor-router engine.
 //!
 //! On the ring every node has degree 2, there is a single cyclic order of
 //! the two ports ("there exists only one cyclic permutation of the two
@@ -8,29 +8,32 @@
 //! its pointer direction and `⌊c/2⌋` the other way, and flips its pointer
 //! iff `c` is odd.
 //!
-//! The engine maintains only the occupied-node list, and exploits the fact
-//! that both arrival streams of a round are *already sorted*: walking the
-//! sorted occupied list emits clockwise destinations in increasing order
-//! (up to one wrap at `n−1 → 0`) and likewise for anticlockwise ones, so a
-//! round is a true `O(k)` three-way merge of the held/CW/ACW streams — no
-//! per-round sort at all. This matters for the `Θ(n²/log k)` worst-case
-//! cover sweeps of experiment E1, which run millions of rounds.
+//! ## One round, `P` segments
 //!
-//! The occupied list and the three per-round streams are stored
-//! structure-of-arrays (split `nodes: Vec<u32>` / `counts: Vec<u32>`): the
-//! merge's head comparisons only touch the node arrays, so twice as many
-//! stream heads fit per cache line as with `(node, count)` tuples, and the
-//! merge itself is branchless — each stream carries a `u32::MAX` sentinel,
-//! the winning destination is a three-way `min`, and every stream advances
-//! by the boolean `head == dest` with counts masked in by the same flag.
+//! [`RingRouter`] cuts the ring into `P ≥ 1` contiguous segments and runs
+//! the segment kernel of [`segring`](crate::segring) on each: departures,
+//! a barrier at which every segment hands its clockwise boundary stream to
+//! the next segment and its anticlockwise one to the previous, then the
+//! merge of the arrivals. [`RingRouter::new`] is the one-segment case —
+//! both boundary streams wrap back into the same segment — and
+//! [`SegmentedRing`](crate::SegmentedRing) names the `P`-segment case,
+//! built by [`RingRouter::segmented`] or [`RingRouter::with_workers`].
+//! Only the occupied-node list is walked, so a round costs `O(k + P)`.
 //!
-//! For the domain analysis of §2.2 it records, per node, the last visit's
-//! round, multiplicity, entry direction, and whether it was a
-//! *propagation* (the agent continues through) or a *reflection* (the agent
-//! is sent back where it came from).
+//! ## Determinism contract
+//!
+//! `P` is a pure *partition parameter*: every deterministic output —
+//! covers, occupied configurations, pointer bits, §2.2 domain/border
+//! stats, Brent `(μ, λ)` — is the same at every `P` and for every number
+//! of worker threads. `tests/segring_equivalence.rs` pins each `P ∈ {1, 2,
+//! 3, 4, 7}` to a per-agent reference that moves one agent at a time.
+//!
+//! The engine keeps only what covers, configurations and the §2.2
+//! counters need. The per-visit records of the §2.2 analysis
+//! (propagation or reflection, visit counts) are an opt-in observer,
+//! [`VisitLog`](crate::domains::VisitLog).
 
-use crate::bitset::VisitSet;
-use crate::init::{ACW, CW};
+use crate::segring::{segment_count_from_env, Segment};
 
 /// Snapshot of the mutable configuration of a [`RingRouter`]: direction
 /// bits plus the sorted occupied-node list. Equal states have identical
@@ -41,23 +44,6 @@ pub struct RingState {
     pub dirs: Vec<u8>,
     /// Sorted `(node, agent count)` pairs for occupied nodes.
     pub occupied: Vec<(u32, u32)>,
-}
-
-/// Metadata about the most recent visit to a node.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct VisitRecord {
-    /// Round of the visit (`0` for the initial placement).
-    pub round: u64,
-    /// Number of agents that entered in that round (initial placement:
-    /// number of agents placed).
-    pub multiplicity: u32,
-    /// Direction of motion of the arriving agent (meaningful when
-    /// `multiplicity == 1` and `round > 0`): [`CW`] means it arrived from
-    /// `v−1` moving clockwise.
-    pub entry_dir: u8,
-    /// Whether a single-agent visit was a propagation (§2.2). `false` for
-    /// multi-agent visits and for the initial placement.
-    pub propagation: bool,
 }
 
 /// The multi-agent rotor-router on the `n`-node ring.
@@ -76,72 +62,83 @@ pub struct VisitRecord {
 pub struct RingRouter {
     n: u32,
     k: u32,
-    dirs: Vec<u8>,
-    /// Occupied nodes, sorted ascending (SoA: node half).
-    occ_nodes: Vec<u32>,
-    /// Agent count per occupied node, `> 0`, parallel to `occ_nodes`.
-    occ_counts: Vec<u32>,
     round: u64,
-    visited: VisitSet,
     unvisited: u32,
     cover_round: Option<u64>,
-    visits: Vec<u64>,
-    last_visit: Vec<VisitRecord>,
-    /// §2.2 domain count (maximal contiguous visited segments), maintained
-    /// incrementally on every first visit — `O(1)` to read, vs the `O(n)`
-    /// scan fallback other backends use.
-    domains: u32,
-    /// §2.2 border count (visited nodes adjacent to an unvisited node),
-    /// maintained incrementally alongside `domains`.
-    borders: u32,
-    /// Scratch buffers reused between rounds: the three pre-sorted move
-    /// streams of a round (held agents, clockwise arrivals, anticlockwise
-    /// arrivals) and the merge output, each split nodes/counts.
-    held: SoaStream,
-    cw_moves: SoaStream,
-    acw_moves: SoaStream,
-    next_occ: SoaStream,
-}
-
-/// One pre-sorted per-round move stream in structure-of-arrays form.
-#[derive(Clone, Debug, Default)]
-struct SoaStream {
-    nodes: Vec<u32>,
-    counts: Vec<u32>,
-}
-
-impl SoaStream {
-    fn clear(&mut self) {
-        self.nodes.clear();
-        self.counts.clear();
-    }
-
-    #[inline]
-    fn push(&mut self, node: u32, count: u32) {
-        self.nodes.push(node);
-        self.counts.push(count);
-    }
-
-    fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Appends the `u32::MAX` stream-exhausted sentinel so the merge can
-    /// index heads unconditionally.
-    fn seal(&mut self) {
-        self.push(u32::MAX, 0);
-    }
+    /// The [`kind_name`](crate::CoverProcess::kind_name) label:
+    /// `"rotor_ring"` from [`new`](Self::new), `"rotor_ring_seg"` from the
+    /// segmented constructors. Reports carry it as their backend column.
+    kind: &'static str,
+    /// Worker threads fanned over segments per phase (`1` = run the
+    /// segments sequentially on the calling thread). Never affects
+    /// results, only wall-clock.
+    workers: usize,
+    /// The partition, in ring order.
+    pub(crate) segments: Vec<Segment>,
+    /// Barrier scratch: `(out_cw, out_acw)` per segment.
+    exchange: Vec<(u32, u32)>,
 }
 
 impl RingRouter {
-    /// Creates a router with agents at `starts` (a multiset of node
-    /// indices) and initial pointer directions `dirs` (`0` = clockwise).
+    /// Creates a one-segment router with agents at `starts` (a multiset of
+    /// node indices) and initial pointer directions `dirs` (`0` =
+    /// clockwise).
     ///
     /// # Panics
     ///
     /// Panics if `n < 3`, `starts` is empty, `dirs.len() != n`, a start is
     /// out of range, or a direction is not 0/1.
     pub fn new(n: usize, starts: &[u32], dirs: &[u8]) -> Self {
+        Self::partitioned(n, starts, dirs, 1, 1, "rotor_ring")
+    }
+
+    /// A [`SegmentedRing`](crate::SegmentedRing): the ring cut into
+    /// `segments` contiguous pieces (clamped to `[1, n]`), run on the
+    /// calling thread. See [`with_workers`](Self::with_workers).
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`new`](Self::new).
+    pub fn segmented(n: usize, starts: &[u32], dirs: &[u8], segments: usize) -> Self {
+        Self::with_workers(n, starts, dirs, segments, 1)
+    }
+
+    /// [`segmented`](Self::segmented) with an explicit worker-thread count
+    /// for the per-phase fan-out (clamped to `[1, P]`). Worker count never
+    /// changes any result — segments own disjoint state and the barrier
+    /// is a full synchronisation — so callers size it from the machine's
+    /// thread budget (`rotor_sweep`'s `split_budget`) independently of
+    /// the partition parameter `P`.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`new`](Self::new).
+    pub fn with_workers(
+        n: usize,
+        starts: &[u32],
+        dirs: &[u8],
+        segments: usize,
+        workers: usize,
+    ) -> Self {
+        let p = segments.clamp(1, n.max(1));
+        Self::partitioned(n, starts, dirs, p, workers, "rotor_ring_seg")
+    }
+
+    /// [`segmented`](Self::segmented) with the segment count taken from
+    /// the [`SEGMENTS_ENV`](crate::segring::SEGMENTS_ENV) environment
+    /// variable (`ROTOR_SEGMENTS`).
+    pub fn from_env(n: usize, starts: &[u32], dirs: &[u8]) -> Self {
+        Self::segmented(n, starts, dirs, segment_count_from_env())
+    }
+
+    fn partitioned(
+        n: usize,
+        starts: &[u32],
+        dirs: &[u8],
+        p: usize,
+        workers: usize,
+        kind: &'static str,
+    ) -> Self {
         assert!(n >= 3, "ring router needs n >= 3");
         assert!(!starts.is_empty(), "need at least one agent");
         assert_eq!(dirs.len(), n, "direction vector length mismatch");
@@ -152,59 +149,34 @@ impl RingRouter {
             assert!(s < n32, "start position out of range");
             count[s as usize] += 1;
         }
-        // Enumerating 0..n yields the occupied list already sorted.
-        let mut occ_nodes = Vec::new();
-        let mut occ_counts = Vec::new();
-        for (v, &c) in count.iter().enumerate() {
-            if c > 0 {
-                occ_nodes.push(v as u32);
-                occ_counts.push(c);
-            }
-        }
-        let mut visited = VisitSet::new(n);
-        let mut visits = vec![0u64; n];
-        let mut last_visit = vec![
-            VisitRecord {
-                round: 0,
-                multiplicity: 0,
-                entry_dir: CW,
-                propagation: false,
-            };
-            n
-        ];
-        let mut unvisited = n32;
-        for (&v, &c) in occ_nodes.iter().zip(&occ_counts) {
-            visited.insert(v as usize);
-            visits[v as usize] = u64::from(c);
-            last_visit[v as usize].multiplicity = c;
-            unvisited -= 1;
-        }
-        let cover_round = (unvisited == 0).then_some(0);
-        let mut router = RingRouter {
+        let segments: Vec<Segment> = (0..p)
+            .map(|s| {
+                let (lo, hi) = (s * n / p, (s + 1) * n / p);
+                Segment::new(lo as u32, hi as u32, &dirs[lo..hi], &count[lo..hi])
+            })
+            .collect();
+        let unvisited: u32 = segments.iter().map(|s| s.unvisited).sum();
+        RingRouter {
             n: n32,
             k: starts.len() as u32,
-            dirs: dirs.to_vec(),
-            occ_nodes,
-            occ_counts,
             round: 0,
-            visited,
             unvisited,
-            cover_round,
-            visits,
-            last_visit,
-            domains: 0,
-            borders: 0,
-            held: SoaStream::default(),
-            cw_moves: SoaStream::default(),
-            acw_moves: SoaStream::default(),
-            next_occ: SoaStream::default(),
-        };
-        // One scan seeds the incremental §2.2 counters from the initial
-        // placement; every later update is O(1) per first visit.
-        let initial = crate::domains::scan_domain_stats(&router);
-        router.domains = initial.domains;
-        router.borders = initial.borders;
-        router
+            cover_round: (unvisited == 0).then_some(0),
+            kind,
+            workers: workers.clamp(1, p),
+            segments,
+            exchange: Vec::new(),
+        }
+    }
+
+    /// The partition parameter `P` actually in effect (after clamping).
+    pub fn segment_count(&self) -> usize {
+        self.segments.len()
+    }
+
+    /// Worker threads used for the per-phase fan-out.
+    pub fn worker_count(&self) -> usize {
+        self.workers
     }
 
     /// Ring size `n`.
@@ -222,105 +194,71 @@ impl RingRouter {
         self.round
     }
 
+    /// The segment owning global node `v`.
+    fn segment_of(&self, v: u32) -> &Segment {
+        &self.segments[self.seg_index(v)]
+    }
+
+    /// Which segment owns global node `v`.
+    pub(crate) fn seg_index(&self, v: u32) -> usize {
+        let p = self.segments.len();
+        // The balanced partition makes v·P/n at most one segment off.
+        let mut s = ((v as u64 * p as u64) / u64::from(self.n)) as usize;
+        s = s.min(p - 1);
+        while self.segments[s].lo > v {
+            s -= 1;
+        }
+        while self.segments[s].hi <= v {
+            s += 1;
+        }
+        s
+    }
+
     /// Current pointer direction at `v` (`0` = clockwise).
     ///
     /// # Panics
     ///
     /// Panics if `v >= n`.
     pub fn direction(&self, v: u32) -> u8 {
-        self.dirs[v as usize]
+        let seg = self.segment_of(v);
+        seg.dirs[(v - seg.lo) as usize]
     }
 
     /// Agents currently at `v`.
     pub fn agents_at(&self, v: u32) -> u32 {
-        match self.occ_nodes.binary_search(&v) {
-            Ok(i) => self.occ_counts[i],
+        let seg = self.segment_of(v);
+        match seg.occ_nodes.binary_search(&v) {
+            Ok(i) => seg.occ_counts[i],
             Err(_) => 0,
         }
     }
 
-    /// Sorted `(node, count)` pairs of occupied nodes, materialised from
-    /// the SoA halves (convenience; the hot paths use
-    /// [`occupied_nodes`](Self::occupied_nodes) /
-    /// [`occupied_counts`](Self::occupied_counts) directly).
+    /// Sorted `(node, count)` pairs of occupied nodes, without allocating
+    /// (concatenating the segments preserves global sort order).
+    pub fn occupied_iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.segments.iter().flat_map(|seg| {
+            seg.occ_nodes
+                .iter()
+                .copied()
+                .zip(seg.occ_counts.iter().copied())
+        })
+    }
+
+    /// Sorted `(node, count)` pairs of occupied nodes.
     pub fn occupied(&self) -> Vec<(u32, u32)> {
-        self.occ_nodes
-            .iter()
-            .copied()
-            .zip(self.occ_counts.iter().copied())
-            .collect()
+        self.occupied_iter().collect()
     }
 
-    /// Occupied nodes, sorted ascending.
-    pub fn occupied_nodes(&self) -> &[u32] {
-        &self.occ_nodes
-    }
-
-    /// Agent counts parallel to [`occupied_nodes`](Self::occupied_nodes),
-    /// all `> 0`.
-    pub fn occupied_counts(&self) -> &[u32] {
-        &self.occ_counts
-    }
-
-    /// `n_v(t)`: visits to `v` in rounds `[1, t]`, plus agents initially
-    /// placed at `v`.
-    pub fn visits(&self, v: u32) -> u64 {
-        self.visits[v as usize]
-    }
-
-    /// Whether `v` has ever been visited (or initially held an agent).
+    /// Whether `v` has been visited in the current cover epoch (initial
+    /// placements count).
     pub fn is_visited(&self, v: u32) -> bool {
-        self.visited.contains(v as usize)
+        let seg = self.segment_of(v);
+        seg.visited.contains((v - seg.lo) as usize)
     }
 
     /// Number of never-visited nodes.
     pub fn unvisited_count(&self) -> u32 {
         self.unvisited
-    }
-
-    /// §2.2 domain count (maximal contiguous visited segments; 1 once the
-    /// ring is covered), incrementally maintained — `O(1)`.
-    pub fn domain_count(&self) -> u32 {
-        self.domains
-    }
-
-    /// §2.2 border count (visited nodes adjacent to an unvisited node; 0
-    /// once the ring is covered), incrementally maintained — `O(1)`.
-    pub fn border_count(&self) -> u32 {
-        self.borders
-    }
-
-    /// Incremental update of the §2.2 counters for the first visit to `v`,
-    /// called with `v` already inserted into the visited set (and
-    /// `unvisited` already decremented). `O(1)`: only `v` and its two
-    /// cyclic neighbours can change domain/border status.
-    fn note_first_visit(&mut self, v: u32) {
-        let p = self.acw(v);
-        let nx = self.cw(v);
-        let pv = self.visited.contains(p as usize);
-        let nv = self.visited.contains(nx as usize);
-        match (pv, nv) {
-            // An isolated first visit opens a new domain.
-            (false, false) => self.domains += 1,
-            // Filling a gap merges two domains — unless the two visited
-            // neighbours already belong to the *same* (wrapping) domain,
-            // which only happens when `v` was the last unvisited node and
-            // the full ring remains a single cyclic domain.
-            (true, true) if self.unvisited > 0 => self.domains -= 1,
-            // Extending a domain at one end changes no domain count.
-            _ => {}
-        }
-        // `v` itself is a border iff it still touches an unvisited node.
-        self.borders += u32::from(!pv || !nv);
-        // A visited neighbour was necessarily a border before (it touched
-        // the then-unvisited `v`); it stays one only if its *other*
-        // neighbour is still unvisited.
-        if pv && self.visited.contains(self.acw(p) as usize) {
-            self.borders -= 1;
-        }
-        if nv && self.visited.contains(self.cw(nx) as usize) {
-            self.borders -= 1;
-        }
     }
 
     /// The round at which the last node was first visited, if any
@@ -329,169 +267,79 @@ impl RingRouter {
         self.cover_round
     }
 
-    /// Metadata of the most recent visit to `v`, or `None` if `v` was never
-    /// visited.
-    pub fn last_visit(&self, v: u32) -> Option<&VisitRecord> {
-        let r = &self.last_visit[v as usize];
-        (self.visited.contains(v as usize)).then_some(r)
-    }
-
     /// Snapshot of the mutable configuration.
     pub fn state(&self) -> RingState {
         RingState {
-            dirs: self.dirs.clone(),
+            dirs: self
+                .segments
+                .iter()
+                .flat_map(|seg| seg.dirs.iter().copied())
+                .collect(),
             occupied: self.occupied(),
-        }
-    }
-
-    /// Clockwise neighbour of `v`.
-    #[inline]
-    pub fn cw(&self, v: u32) -> u32 {
-        let u = v + 1;
-        if u == self.n {
-            0
-        } else {
-            u
-        }
-    }
-
-    /// Anticlockwise neighbour of `v`.
-    #[inline]
-    pub fn acw(&self, v: u32) -> u32 {
-        if v == 0 {
-            self.n - 1
-        } else {
-            v - 1
         }
     }
 
     /// Advances one synchronous round: every agent moves.
     pub fn step(&mut self) {
-        self.step_delayed(|_, _| 0);
+        self.step_round(None);
     }
 
     /// Advances one round of a *delayed deployment* (§2.1): `delay(v, c)`
     /// is `D(v, t)` — how many of the `c` agents at node `v` stay put this
     /// round (clamped to `c`). Held agents neither move nor flip pointers,
-    /// and staying put does not count as a visit.
-    pub fn step_delayed(&mut self, mut delay: impl FnMut(u32, u32) -> u32) {
-        self.round += 1;
-        let mut held = std::mem::take(&mut self.held);
-        let mut cw_moves = std::mem::take(&mut self.cw_moves);
-        let mut acw_moves = std::mem::take(&mut self.acw_moves);
-        let mut next_occ = std::mem::take(&mut self.next_occ);
-        held.clear();
-        cw_moves.clear();
-        acw_moves.clear();
-        next_occ.clear();
-        // Departures. Walking the occupied list in ascending node order
-        // emits each move stream already sorted by destination: clockwise
-        // destinations `v+1` are increasing except for one possible wrap
-        // from `n−1` to `0` (necessarily the last element), anticlockwise
-        // destinations `v−1` likewise except for one wrap from `0` to
-        // `n−1` (necessarily the first element). Held agents inherit the
-        // sort order of the occupied list directly.
-        for i in 0..self.occ_nodes.len() {
-            let v = self.occ_nodes[i];
-            let c = self.occ_counts[i];
-            let h = delay(v, c).min(c);
-            let moving = c - h;
-            if h > 0 {
-                held.push(v, h);
+    /// and staying put does not count as a visit. The schedule must be a
+    /// pure function (`Fn + Sync`) because segments may query it from
+    /// worker threads.
+    pub fn step_delayed(&mut self, delay: impl Fn(u32, u32) -> u32 + Sync) {
+        self.step_round(Some(&delay));
+    }
+
+    /// Runs `f` over every segment — sequentially, or fanned over up to
+    /// `workers` scoped threads. Segments own disjoint state, so the
+    /// fan-out is pure data parallelism; the scope join is the barrier.
+    fn for_each_segment(&mut self, f: impl Fn(&mut Segment) + Sync) {
+        let p = self.segments.len();
+        if self.workers <= 1 || p <= 1 {
+            for seg in &mut self.segments {
+                f(seg);
             }
-            if moving == 0 {
-                continue;
-            }
-            let d = self.dirs[v as usize];
-            let with_ptr = moving.div_ceil(2);
-            let against = moving / 2;
-            if moving % 2 == 1 {
-                self.dirs[v as usize] ^= 1;
-            }
-            let (cw_cnt, acw_cnt) = if d == CW {
-                (with_ptr, against)
-            } else {
-                (against, with_ptr)
-            };
-            if cw_cnt > 0 {
-                cw_moves.push(self.cw(v), cw_cnt);
-            }
-            if acw_cnt > 0 {
-                acw_moves.push(self.acw(v), acw_cnt);
-            }
+            return;
         }
-        // Rotate the single possible wrap element home; both streams are
-        // then strictly increasing in destination (sources are distinct and
-        // `v ↦ v±1` is injective on the ring).
-        if cw_moves.len() > 1 && cw_moves.nodes[cw_moves.len() - 1] == 0 {
-            cw_moves.nodes.rotate_right(1);
-            cw_moves.counts.rotate_right(1);
-        }
-        if acw_moves.len() > 1 && acw_moves.nodes[0] == self.n - 1 {
-            acw_moves.nodes.rotate_left(1);
-            acw_moves.counts.rotate_left(1);
-        }
-        // O(k) branchless three-way merge of the pre-sorted streams. The
-        // sentinels make every head load unconditional; each destination
-        // appears at most once per stream, so the winning streams all
-        // advance by their `head == dest` flag and their counts are masked
-        // in by the same flag — no per-element branching on stream shape.
-        held.seal();
-        cw_moves.seal();
-        acw_moves.seal();
-        let (mut hi, mut ci, mut ai) = (0usize, 0usize, 0usize);
-        loop {
-            let hd = held.nodes[hi];
-            let cd = cw_moves.nodes[ci];
-            let ad = acw_moves.nodes[ai];
-            let dest = hd.min(cd).min(ad);
-            if dest == u32::MAX {
-                break;
-            }
-            let take_h = u32::from(hd == dest);
-            let take_c = u32::from(cd == dest);
-            let take_a = u32::from(ad == dest);
-            let stationary = take_h * held.counts[hi];
-            let arrived = take_c * cw_moves.counts[ci] + take_a * acw_moves.counts[ai];
-            hi += take_h as usize;
-            ci += take_c as usize;
-            ai += take_a as usize;
-            let d = dest as usize;
-            if arrived > 0 {
-                // record the visit (held agents do not revisit)
-                self.visits[d] += u64::from(arrived);
-                let entry_dir = if take_c != 0 { CW } else { ACW };
-                let propagation = arrived == 1 && self.dirs[d] == entry_dir;
-                self.last_visit[d] = VisitRecord {
-                    round: self.round,
-                    multiplicity: arrived,
-                    entry_dir,
-                    propagation,
-                };
-                if self.visited.insert(d) {
-                    self.unvisited -= 1;
-                    self.note_first_visit(dest);
-                    if self.unvisited == 0 && self.cover_round.is_none() {
-                        self.cover_round = Some(self.round);
+        let chunk = p.div_ceil(self.workers.min(p));
+        let f = &f;
+        std::thread::scope(|scope| {
+            for part in self.segments.chunks_mut(chunk) {
+                scope.spawn(move || {
+                    for seg in part {
+                        f(seg);
                     }
-                }
+                });
             }
-            next_occ.push(dest, stationary + arrived);
+        });
+    }
+
+    /// One synchronous round: departures, boundary exchange at the
+    /// barrier, merges, then `O(P)` cover accounting.
+    fn step_round(&mut self, delay: Option<&(dyn Fn(u32, u32) -> u32 + Sync)>) {
+        self.round += 1;
+        self.for_each_segment(|seg| seg.depart(delay));
+        let p = self.segments.len();
+        self.exchange.clear();
+        self.exchange
+            .extend(self.segments.iter().map(|s| (s.out_cw, s.out_acw)));
+        for (s, seg) in self.segments.iter_mut().enumerate() {
+            seg.in_cw = self.exchange[(s + p - 1) % p].0;
+            seg.in_acw = self.exchange[(s + 1) % p].1;
         }
-        std::mem::swap(&mut self.occ_nodes, &mut next_occ.nodes);
-        std::mem::swap(&mut self.occ_counts, &mut next_occ.counts);
-        self.held = held;
-        self.cw_moves = cw_moves;
-        self.acw_moves = acw_moves;
-        self.next_occ = next_occ;
-        debug_assert!(self.occ_nodes.windows(2).all(|w| w[0] < w[1]), "occ sorted");
+        self.for_each_segment(Segment::absorb);
+        if self.unvisited > 0 {
+            self.unvisited = self.segments.iter().map(|s| s.unvisited).sum();
+            if self.unvisited == 0 && self.cover_round.is_none() {
+                self.cover_round = Some(self.round);
+            }
+        }
         debug_assert_eq!(
-            u64::from(self.unvisited),
-            self.n as u64 - self.visited.count_ones() as u64,
-            "unvisited counter agrees with popcount"
-        );
-        debug_assert_eq!(
-            self.occ_counts.iter().sum::<u32>(),
+            self.occupied_iter().map(|(_, c)| c).sum::<u32>(),
             self.k,
             "agents conserved"
         );
@@ -513,6 +361,14 @@ impl RingRouter {
         }
     }
 
+    /// Whether global node `v` is a §2.2 border: visited, with an
+    /// unvisited cyclic neighbour.
+    fn is_border(&self, v: u32) -> bool {
+        let prev = if v == 0 { self.n - 1 } else { v - 1 };
+        let next = if v + 1 == self.n { 0 } else { v + 1 };
+        self.is_visited(v) && (!self.is_visited(prev) || !self.is_visited(next))
+    }
+
     /// Fault injection: scrambles `count` pointer directions, each draw
     /// picking a node and a fresh direction bit from the chained `seed`
     /// stream (deterministic in `(seed, count)`; draws may repeat a node).
@@ -522,20 +378,23 @@ impl RingRouter {
         let mut changed = 0;
         for _ in 0..count {
             s = crate::rng::splitmix64(s);
-            let v = (s % u64::from(self.n)) as usize;
+            let v = (s % u64::from(self.n)) as u32;
             let new_dir = ((s >> 32) & 1) as u8;
-            changed += u32::from(self.dirs[v] != new_dir);
-            self.dirs[v] = new_dir;
+            let si = self.seg_index(v);
+            let seg = &mut self.segments[si];
+            let li = (v - seg.lo) as usize;
+            changed += u32::from(seg.dirs[li] != new_dir);
+            seg.dirs[li] = new_dir;
         }
         changed
     }
 
     /// Fault injection: crashes up to `count` agents, each draw removing
-    /// one agent from a seed-chosen occupied node. Always leaves at least
-    /// one agent in the system (a rotor-router with no agents never covers
-    /// anything again, which would make every recovery time infinite by
-    /// construction rather than by measurement). Returns how many agents
-    /// were actually removed.
+    /// one agent from a seed-chosen entry of the sorted occupied list.
+    /// Always leaves at least one agent in the system (a rotor-router with
+    /// no agents never covers anything again, which would make every
+    /// recovery time infinite by construction rather than by measurement).
+    /// Returns how many agents were actually removed.
     pub fn remove_agents(&mut self, seed: u64, count: u32) -> u32 {
         let mut s = seed;
         let mut removed = 0;
@@ -544,11 +403,20 @@ impl RingRouter {
                 break;
             }
             s = crate::rng::splitmix64(s);
-            let i = (s % self.occ_nodes.len() as u64) as usize;
-            self.occ_counts[i] -= 1;
-            if self.occ_counts[i] == 0 {
-                self.occ_nodes.remove(i);
-                self.occ_counts.remove(i);
+            // The global occupied list is the concatenation of the
+            // per-segment lists: index it by walking the segments.
+            let total: u64 = self.segments.iter().map(|g| g.occ_nodes.len() as u64).sum();
+            let mut i = (s % total) as usize;
+            for seg in &mut self.segments {
+                if i < seg.occ_nodes.len() {
+                    seg.occ_counts[i] -= 1;
+                    if seg.occ_counts[i] == 0 {
+                        seg.occ_nodes.remove(i);
+                        seg.occ_counts.remove(i);
+                    }
+                    break;
+                }
+                i -= seg.occ_nodes.len();
             }
             self.k -= 1;
             removed += 1;
@@ -560,27 +428,19 @@ impl RingRouter {
     /// currently occupied nodes count as visited,
     /// [`cover_round`](Self::cover_round) is cleared (unless the
     /// occupation alone already covers), and the §2.2 domain/border
-    /// counters are re-seeded from the
-    /// new visited set. Cumulative visit counts ([`visits`](Self::visits))
-    /// are deliberately left untouched — they are lifetime statistics, not
-    /// epoch predicates.
+    /// counters are re-seeded from the new visited set.
     pub fn reset_cover_epoch(&mut self) {
-        let mut visited = VisitSet::new(self.n as usize);
-        for &v in &self.occ_nodes {
-            visited.insert(v as usize);
+        for seg in &mut self.segments {
+            seg.reset_cover_epoch();
         }
-        self.visited = visited;
-        self.unvisited = self.n - self.occ_nodes.len() as u32;
+        self.unvisited = self.segments.iter().map(|s| s.unvisited).sum();
         self.cover_round = (self.unvisited == 0).then_some(self.round);
-        let stats = crate::domains::scan_domain_stats(&*self);
-        self.domains = stats.domains;
-        self.borders = stats.borders;
     }
 }
 
 impl crate::CoverProcess for RingRouter {
     fn kind_name(&self) -> &'static str {
-        "rotor_ring"
+        self.kind
     }
 
     fn node_count(&self) -> usize {
@@ -604,28 +464,59 @@ impl crate::CoverProcess for RingRouter {
     }
 
     fn is_node_visited(&self, node: usize) -> bool {
-        self.visited.contains(node)
+        self.is_visited(node as u32)
     }
 
-    /// The incremental counters — `O(1)`, vs the trait's `O(n)` scan
-    /// default. Property-tested bit-identical to
+    /// Segment-interior counters maintained on every first visit, plus
+    /// the `O(P)` boundary terms (one start pair per boundary, two edge
+    /// nodes per segment) recomputed from the live visited bits — `O(P)`
+    /// per call vs the trait's `O(n)` scan default, and property-tested
+    /// bit-identical to
     /// [`scan_domain_stats`](crate::domains::scan_domain_stats).
     fn domain_stats(&self) -> crate::domains::DomainStats {
-        crate::domains::DomainStats {
-            domains: self.domains,
-            borders: self.borders,
+        let p = self.segments.len();
+        let mut starts = 0u32;
+        let mut borders = 0u32;
+        for (s, seg) in self.segments.iter().enumerate() {
+            starts += seg.interior_starts;
+            borders += seg.interior_borders;
+            // Boundary start pair (lo − 1, lo).
+            let prev = &self.segments[(s + p - 1) % p];
+            if seg.visited.contains(0) && !prev.visited.contains(prev.len() - 1) {
+                starts += 1;
+            }
+            // Edge nodes lo and hi − 1 (one node when the segment has
+            // length 1): their border status spans a segment boundary.
+            borders += u32::from(self.is_border(seg.lo));
+            if seg.len() > 1 {
+                borders += u32::from(self.is_border(seg.hi - 1));
+            }
         }
+        let domains = if self.unvisited == 0 { 1 } else { starts };
+        crate::domains::DomainStats { domains, borders }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::init::PointerInit;
+    use crate::domains::VisitLog;
+    use crate::init::{PointerInit, ACW, CW};
     use crate::placement::Placement;
+    use crate::Observer;
 
     fn cw_dirs(n: usize) -> Vec<u8> {
         vec![CW; n]
+    }
+
+    /// `r` advanced one round, with a [`VisitLog`] watching it from
+    /// round 0.
+    fn step_logged(r: &mut RingRouter) -> VisitLog {
+        let mut log = VisitLog::new();
+        log.observe(r);
+        r.step();
+        log.observe(r);
+        log
     }
 
     #[test]
@@ -677,8 +568,8 @@ mod tests {
         // Node 2's pointer clockwise: an agent arriving from 1 (moving cw)
         // will continue to 3 -> propagation.
         let mut r = RingRouter::new(6, &[1], &cw_dirs(6));
-        r.step();
-        let rec = r.last_visit(2).unwrap();
+        let log = step_logged(&mut r);
+        let rec = log.last_visit(2).unwrap();
         assert_eq!(rec.multiplicity, 1);
         assert_eq!(rec.entry_dir, CW);
         assert!(rec.propagation);
@@ -688,8 +579,8 @@ mod tests {
         let mut dirs = cw_dirs(6);
         dirs[2] = ACW;
         let mut r = RingRouter::new(6, &[1], &dirs);
-        r.step();
-        let rec = r.last_visit(2).unwrap();
+        let log = step_logged(&mut r);
+        let rec = log.last_visit(2).unwrap();
         assert!(!rec.propagation);
         r.step();
         assert_eq!(r.occupied(), &[(1, 1)], "reflected back to 1");
@@ -701,8 +592,8 @@ mod tests {
         let mut dirs = cw_dirs(5);
         dirs[3] = ACW;
         let mut r = RingRouter::new(5, &[1, 3], &dirs);
-        r.step();
-        let rec = r.last_visit(2).unwrap();
+        let log = step_logged(&mut r);
+        let rec = log.last_visit(2).unwrap();
         assert_eq!(rec.multiplicity, 2);
         assert!(!rec.propagation);
     }
@@ -735,9 +626,12 @@ mod tests {
             let dirs = PointerInit::Random(seed).ring_directions(n, &starts_u);
             let ptrs: Vec<u32> = dirs.iter().map(|&d| u32::from(d)).collect();
             let mut fast = RingRouter::new(n, &starts_u, &dirs);
+            let mut log = VisitLog::new();
+            log.observe(&fast);
             let mut reference = Engine::with_pointers(&g, &starts, ptrs);
             for t in 1..=500u64 {
                 fast.step();
+                log.observe(&fast);
                 reference.step();
                 for v in 0..n as u32 {
                     assert_eq!(
@@ -751,7 +645,7 @@ mod tests {
                         "pointer mismatch at node {v}, round {t}, seed {seed}"
                     );
                     assert_eq!(
-                        fast.visits(v),
+                        log.visits(v),
                         reference.visits(NodeId::new(v)),
                         "visit-count mismatch at node {v}, round {t}, seed {seed}"
                     );
@@ -808,11 +702,13 @@ mod tests {
     #[test]
     fn visits_initial_placement_counts() {
         let r = RingRouter::new(6, &[1, 1, 4], &cw_dirs(6));
-        assert_eq!(r.visits(1), 2);
-        assert_eq!(r.visits(4), 1);
-        assert_eq!(r.visits(0), 0);
-        assert_eq!(r.last_visit(1).unwrap().multiplicity, 2);
-        assert!(r.last_visit(0).is_none());
+        let mut log = VisitLog::new();
+        log.observe(&r);
+        assert_eq!(log.visits(1), 2);
+        assert_eq!(log.visits(4), 1);
+        assert_eq!(log.visits(0), 0);
+        assert_eq!(log.last_visit(1).unwrap().multiplicity, 2);
+        assert!(log.last_visit(0).is_none());
     }
 
     #[test]

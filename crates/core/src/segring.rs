@@ -1,38 +1,31 @@
-//! The segmented-parallel ring engine: [`RingRouter`] semantics, cut into
-//! `P` contiguous segments that advance independently and exchange only
-//! their two boundary agent streams at a per-round barrier.
+//! The segment kernel of the ring engine, and [`SegmentedRing`].
+//!
+//! A `Segment` owns one contiguous node range `[lo, hi)` of the ring —
+//! its direction bits, its slice of the sorted occupied list, its visited
+//! bits — and runs one round of it in two phases around a barrier:
+//! `depart` splits every occupied node's agents and emits the agents
+//! leaving across the two boundaries, and `absorb` merges the boundary
+//! arrivals handed over by the cyclic neighbours into the next occupied
+//! list. The only
+//! cross-segment traffic is the clockwise stream leaving the last node of
+//! a segment and the anticlockwise stream leaving its first node (at most
+//! one `(node, count)` pair each per round per boundary).
+//!
+//! [`RingRouter`] drives `P` segments; [`RingRouter::new`] is the
+//! one-segment case, whose two boundary streams wrap back into itself.
 //!
 //! ## Why segments
 //!
 //! `rotor_sweep::run_sharded` parallelises *across* cells, so one
 //! worst-case `Θ(n²/log k)` cell at large `n` is still a single-core job.
-//! [`SegmentedRing`] parallelises *inside* one instance: segment `s` owns
-//! the contiguous node range `[s·n/P, (s+1)·n/P)` — its direction bits, its
-//! slice of the sorted occupied list, its visited bits — and runs the SoA
-//! three-way branchless merge of [`RingRouter`] locally each round. The
-//! only cross-segment traffic is the clockwise stream leaving the last
-//! node of a segment and the anticlockwise stream leaving its first node
-//! (at most one `(node, count)` pair each per round per boundary), swapped
-//! with the cyclic neighbours at the barrier between the departure and
-//! merge phases.
+//! A [`SegmentedRing`] parallelises *inside* one instance: its segments
+//! advance on up to `workers` scoped threads, and the result is the same
+//! at every `P` and every worker count.
 //!
-//! ## Determinism contract
+//! ## Why the kernel is lean
 //!
-//! The segment count `P` is a pure *partition parameter*: every
-//! deterministic output — covers, occupied configurations, pointer bits,
-//! §2.2 domain/border stats, Brent `(μ, λ)` — is bit-identical to
-//! [`RingRouter`] for every `(n, k, placement, init, delay-schedule)` at
-//! every `P`, and independent of how many worker threads execute the
-//! segments. Property tests in `tests/segring_equivalence.rs` pin this
-//! across `P ∈ {1, 2, 3, 4, 7}`. `P = 1` falls back to the serial
-//! [`RingRouter`] path entirely.
-//!
-//! ## Why `P ≥ 2` is also *faster* per core
-//!
-//! The segmented path keeps exactly the state the acceptance surface
-//! needs (covers, domain stats, configuration snapshots) and drops the
-//! per-arrival `visits[]` / `last_visit[]` bookkeeping the serial engine
-//! maintains for §2.2 visit classification; segments that are fully
+//! Segments keep exactly the state the acceptance surface needs (covers,
+//! domain stats, configuration snapshots); segments that are fully
 //! covered skip visit tracking altogether; and the departure pass is
 //! written as explicit fixed-width lane chunks (`[u32; 8]` — two `u64x4`
 //! registers' worth) over the SoA `nodes`/`counts` vectors so the
@@ -41,14 +34,14 @@
 
 use crate::bitset::VisitSet;
 use crate::init::CW;
-use crate::ring::{RingRouter, RingState};
+use crate::ring::RingRouter;
 
 /// Environment variable overriding the intra-instance segment count used
-/// by sweeps and campaigns (`1` — the serial path — when unset).
+/// by sweeps and campaigns (`1` — one segment — when unset).
 pub const SEGMENTS_ENV: &str = "ROTOR_SEGMENTS";
 
 /// Pure core of [`segment_count_from_env`] (separable for tests): parses
-/// an override value, falling back to `1` (the serial path).
+/// an override value, falling back to `1` (one segment).
 pub fn segments_from(var: Option<&str>) -> usize {
     if let Some(s) = var {
         if let Ok(p) = s.trim().parse::<usize>() {
@@ -62,8 +55,7 @@ pub fn segments_from(var: Option<&str>) -> usize {
 
 /// The segment count requested via [`SEGMENTS_ENV`], or `1` when unset or
 /// unparsable. Results are bit-identical at any value; this only selects
-/// the partition (and thus the leaner segmented execution path for
-/// `P ≥ 2`).
+/// the partition.
 pub fn segment_count_from_env() -> usize {
     segments_from(std::env::var(SEGMENTS_ENV).ok().as_deref())
 }
@@ -125,40 +117,41 @@ impl SegStream {
 /// arrays during the departure and merge phases, which is what makes the
 /// scoped-thread fan-out safe without any locking.
 #[derive(Clone, Debug)]
-struct Segment {
+pub(crate) struct Segment {
     /// First owned node (inclusive).
-    lo: u32,
+    pub(crate) lo: u32,
     /// Last owned node (exclusive).
-    hi: u32,
+    pub(crate) hi: u32,
     /// Direction bits for nodes `lo..hi`, indexed by `v - lo`.
-    dirs: Vec<u8>,
+    pub(crate) dirs: Vec<u8>,
     /// Occupied nodes in `[lo, hi)`, sorted ascending (global indices).
-    occ_nodes: Vec<u32>,
+    pub(crate) occ_nodes: Vec<u32>,
     /// Agent counts parallel to `occ_nodes`, all `> 0`.
-    occ_counts: Vec<u32>,
+    pub(crate) occ_counts: Vec<u32>,
     /// Visited bits over the local index space `0..(hi - lo)`.
-    visited: VisitSet,
+    pub(crate) visited: VisitSet,
     /// Never-visited nodes in this segment.
-    unvisited: u32,
+    pub(crate) unvisited: u32,
     /// §2.2 starts `v` with `visited(v) ∧ ¬visited(v−1)` where *both*
     /// nodes are in-segment (local `v ∈ [1, len)`), maintained
     /// incrementally; the two boundary pairs per segment are recomputed
     /// at merge time in `O(P)` total.
-    interior_starts: u32,
+    pub(crate) interior_starts: u32,
     /// §2.2 borders (visited node with an unvisited cyclic neighbour)
     /// whose whole 3-node window is in-segment (local `v ∈ [1, len−2]`),
     /// maintained incrementally like `interior_starts`.
-    interior_borders: u32,
+    pub(crate) interior_borders: u32,
     /// Agents leaving clockwise across the `hi` boundary this round
     /// (destination `hi mod n` — the next segment's first node).
-    out_cw: u32,
+    pub(crate) out_cw: u32,
     /// Agents leaving anticlockwise across the `lo` boundary this round
     /// (destination `lo − 1 mod n` — the previous segment's last node).
-    out_acw: u32,
-    /// Boundary arrivals handed over at the barrier.
-    in_cw: u32,
+    pub(crate) out_acw: u32,
+    /// Clockwise boundary arrivals handed over at the barrier;
+    /// destination `lo`.
+    pub(crate) in_cw: u32,
     /// See `in_cw`; destination `hi − 1`.
-    in_acw: u32,
+    pub(crate) in_acw: u32,
     /// Set by `depart` when the segment had no occupants: nothing was
     /// emitted, so `absorb` can skip the whole merge when no boundary
     /// agents arrive either. Keeps far-from-the-band segments O(1) per
@@ -181,8 +174,59 @@ struct Segment {
 }
 
 impl Segment {
-    fn len(&self) -> usize {
+    /// The segment `[lo, hi)` with direction bits `dirs` and `count[i]`
+    /// agents at node `lo + i`.
+    pub(crate) fn new(lo: u32, hi: u32, dirs: &[u8], count: &[u32]) -> Self {
+        let len = (hi - lo) as usize;
+        let mut seg = Segment {
+            lo,
+            hi,
+            dirs: dirs.to_vec(),
+            occ_nodes: Vec::new(),
+            occ_counts: Vec::new(),
+            visited: VisitSet::new(len),
+            unvisited: len as u32,
+            interior_starts: 0,
+            interior_borders: 0,
+            out_cw: 0,
+            out_acw: 0,
+            in_cw: 0,
+            in_acw: 0,
+            parked: false,
+            fused: false,
+            cw_buf: Vec::new(),
+            acw_buf: Vec::new(),
+            held: SegStream::default(),
+            cw: SegStream::default(),
+            acw: SegStream::default(),
+            next: SegStream::default(),
+        };
+        for (v, &c) in (lo..hi).zip(count) {
+            if c > 0 {
+                seg.occ_nodes.push(v);
+                seg.occ_counts.push(c);
+                seg.visited.insert((v - lo) as usize);
+                seg.unvisited -= 1;
+            }
+        }
+        seg.reseed_counters();
+        seg
+    }
+
+    pub(crate) fn len(&self) -> usize {
         (self.hi - self.lo) as usize
+    }
+
+    /// Starts a fresh cover epoch: only the occupied nodes count as
+    /// visited, and the interior §2.2 counters are re-derived.
+    pub(crate) fn reset_cover_epoch(&mut self) {
+        let len = self.len();
+        self.visited = VisitSet::new(len);
+        for &v in &self.occ_nodes {
+            self.visited.insert((v - self.lo) as usize);
+        }
+        self.unvisited = (len - self.occ_nodes.len()) as u32;
+        self.reseed_counters();
     }
 
     /// Re-derives the incremental §2.2 interior counters from the visited
@@ -255,7 +299,7 @@ impl Segment {
     /// sorted occupied list directly into `next` — no intermediate
     /// streams, no sentinels, no separate merge. Delayed rounds (§2.1)
     /// keep the held/CW/ACW stream emission merged in `absorb`.
-    fn depart(&mut self, delay: Option<&(dyn Fn(u32, u32) -> u32 + Sync)>) {
+    pub(crate) fn depart(&mut self, delay: Option<&(dyn Fn(u32, u32) -> u32 + Sync)>) {
         let m = self.occ_nodes.len();
         self.out_cw = 0;
         self.out_acw = 0;
@@ -489,7 +533,7 @@ impl Segment {
     /// boundary-only for fused rounds, the full three-way stream merge
     /// for delayed rounds. Visit tracking is compiled out once the
     /// segment is fully covered.
-    fn absorb(&mut self) {
+    pub(crate) fn absorb(&mut self) {
         if self.parked {
             if self.in_cw == 0 && self.in_acw == 0 {
                 // Empty segment, no boundary arrivals: the round cannot
@@ -584,9 +628,10 @@ impl Segment {
         );
     }
 
-    /// The [`RingRouter`] three-way branchless merge, restricted to this
-    /// segment's streams; `TRACK` compiles the first-visit bookkeeping in
-    /// or out.
+    /// Three-way branchless merge of the held/CW/ACW streams: the
+    /// sentinels make every head load unconditional, and each stream
+    /// advances by its `head == dest` flag; `TRACK` compiles the
+    /// first-visit bookkeeping in or out.
     fn merge<const TRACK: bool>(&mut self, start_c: usize) {
         let held = std::mem::take(&mut self.held);
         let cw = std::mem::take(&mut self.cw);
@@ -623,573 +668,23 @@ impl Segment {
 
 /// The multi-agent rotor-router on the ring, partitioned into `P`
 /// contiguous segments that advance in parallel and exchange boundary
-/// agents at a per-round barrier — bit-identical to [`RingRouter`] at
-/// every `P` (see the module docs for the determinism contract and why
-/// `P ≥ 2` is the leaner path).
+/// agents at a per-round barrier: the `P`-segment case of [`RingRouter`],
+/// built by [`RingRouter::segmented`], [`RingRouter::with_workers`] or
+/// [`RingRouter::from_env`], and reported as `"rotor_ring_seg"`.
 ///
 /// ```
-/// use rotor_core::{init::PointerInit, placement::Placement, SegmentedRing};
+/// use rotor_core::{init::PointerInit, placement::Placement, RingRouter, SegmentedRing};
 ///
 /// let n = 128;
 /// let starts = Placement::AllOnOne(0).positions(n, 4);
 /// let dirs = PointerInit::TowardNearestAgent.ring_directions(n, &starts);
-/// let mut seg = SegmentedRing::new(n, &starts, &dirs, 4);
-/// let mut reference = rotor_core::RingRouter::new(n, &starts, &dirs);
+/// let mut seg = SegmentedRing::segmented(n, &starts, &dirs, 4);
+/// let mut one = RingRouter::new(n, &starts, &dirs);
 /// let cover = seg.run_until_covered(1_000_000).expect("covers");
-/// assert_eq!(Some(cover), reference.run_until_covered(1_000_000));
-/// assert_eq!(seg.state(), reference.state());
+/// assert_eq!(Some(cover), one.run_until_covered(1_000_000));
+/// assert_eq!(seg.state(), one.state());
 /// ```
-#[derive(Clone, Debug)]
-pub struct SegmentedRing {
-    inner: Inner,
-}
-
-#[derive(Clone, Debug)]
-enum Inner {
-    /// `P = 1`: the serial path — the fully instrumented [`RingRouter`].
-    Serial(Box<RingRouter>),
-    /// `P ≥ 2`: the segmented lean path.
-    Seg(SegRing),
-}
-
-/// The `P ≥ 2` engine proper.
-#[derive(Clone, Debug)]
-struct SegRing {
-    n: u32,
-    k: u32,
-    round: u64,
-    unvisited: u32,
-    cover_round: Option<u64>,
-    /// Worker threads fanned over segments per phase (`1` = run the
-    /// segments sequentially on the calling thread). Never affects
-    /// results, only wall-clock.
-    workers: usize,
-    segments: Vec<Segment>,
-    /// Barrier scratch: `(out_cw, out_acw)` per segment.
-    exchange: Vec<(u32, u32)>,
-}
-
-impl SegmentedRing {
-    /// Creates a segmented router with agents at `starts` and initial
-    /// directions `dirs`, partitioned into `segments` contiguous pieces
-    /// (clamped to `[1, n]`; `1` selects the serial [`RingRouter`] path).
-    /// Workers default to 1 — see [`with_workers`](Self::with_workers).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`RingRouter::new`].
-    pub fn new(n: usize, starts: &[u32], dirs: &[u8], segments: usize) -> Self {
-        Self::with_workers(n, starts, dirs, segments, 1)
-    }
-
-    /// [`new`](Self::new) with an explicit worker-thread count for the
-    /// per-phase fan-out (clamped to `[1, P]`). Worker count never
-    /// changes any result — segments own disjoint state and the barrier
-    /// is a full synchronisation — so callers size it from the machine's
-    /// thread budget (`rotor_sweep`'s `split_budget`) independently of
-    /// the partition parameter `P`.
-    pub fn with_workers(
-        n: usize,
-        starts: &[u32],
-        dirs: &[u8],
-        segments: usize,
-        workers: usize,
-    ) -> Self {
-        let p = segments.clamp(1, n.max(1));
-        if p == 1 {
-            return SegmentedRing {
-                inner: Inner::Serial(Box::new(RingRouter::new(n, starts, dirs))),
-            };
-        }
-        SegmentedRing {
-            inner: Inner::Seg(SegRing::new(n, starts, dirs, p, workers)),
-        }
-    }
-
-    /// [`new`](Self::new) with the segment count taken from the
-    /// [`SEGMENTS_ENV`] environment variable (`ROTOR_SEGMENTS`).
-    pub fn from_env(n: usize, starts: &[u32], dirs: &[u8]) -> Self {
-        Self::new(n, starts, dirs, segment_count_from_env())
-    }
-
-    /// The partition parameter `P` actually in effect (after clamping).
-    pub fn segment_count(&self) -> usize {
-        match &self.inner {
-            Inner::Serial(_) => 1,
-            Inner::Seg(s) => s.segments.len(),
-        }
-    }
-
-    /// Worker threads used for the per-phase fan-out.
-    pub fn worker_count(&self) -> usize {
-        match &self.inner {
-            Inner::Serial(_) => 1,
-            Inner::Seg(s) => s.workers,
-        }
-    }
-
-    /// Ring size `n`.
-    pub fn n(&self) -> u32 {
-        match &self.inner {
-            Inner::Serial(r) => r.n(),
-            Inner::Seg(s) => s.n,
-        }
-    }
-
-    /// Number of agents `k`.
-    pub fn agent_count(&self) -> u32 {
-        match &self.inner {
-            Inner::Serial(r) => r.agent_count(),
-            Inner::Seg(s) => s.k,
-        }
-    }
-
-    /// Completed rounds.
-    pub fn round(&self) -> u64 {
-        match &self.inner {
-            Inner::Serial(r) => r.round(),
-            Inner::Seg(s) => s.round,
-        }
-    }
-
-    /// Current pointer direction at `v` (`0` = clockwise).
-    pub fn direction(&self, v: u32) -> u8 {
-        match &self.inner {
-            Inner::Serial(r) => r.direction(v),
-            Inner::Seg(s) => {
-                let seg = &s.segments[s.seg_index(v)];
-                seg.dirs[(v - seg.lo) as usize]
-            }
-        }
-    }
-
-    /// Agents currently at `v`.
-    pub fn agents_at(&self, v: u32) -> u32 {
-        match &self.inner {
-            Inner::Serial(r) => r.agents_at(v),
-            Inner::Seg(s) => {
-                let seg = &s.segments[s.seg_index(v)];
-                match seg.occ_nodes.binary_search(&v) {
-                    Ok(i) => seg.occ_counts[i],
-                    Err(_) => 0,
-                }
-            }
-        }
-    }
-
-    /// Sorted `(node, count)` pairs of occupied nodes (concatenating the
-    /// segments preserves global sort order).
-    pub fn occupied(&self) -> Vec<(u32, u32)> {
-        match &self.inner {
-            Inner::Serial(r) => r.occupied(),
-            Inner::Seg(s) => s
-                .segments
-                .iter()
-                .flat_map(|seg| {
-                    seg.occ_nodes
-                        .iter()
-                        .copied()
-                        .zip(seg.occ_counts.iter().copied())
-                })
-                .collect(),
-        }
-    }
-
-    /// Whether `v` has ever been visited (or initially held an agent).
-    pub fn is_visited(&self, v: u32) -> bool {
-        match &self.inner {
-            Inner::Serial(r) => r.is_visited(v),
-            Inner::Seg(s) => {
-                let seg = &s.segments[s.seg_index(v)];
-                seg.visited.contains((v - seg.lo) as usize)
-            }
-        }
-    }
-
-    /// Number of never-visited nodes.
-    pub fn unvisited_count(&self) -> u32 {
-        match &self.inner {
-            Inner::Serial(r) => r.unvisited_count(),
-            Inner::Seg(s) => s.unvisited,
-        }
-    }
-
-    /// The round at which the last node was first visited, if any.
-    pub fn cover_round(&self) -> Option<u64> {
-        match &self.inner {
-            Inner::Serial(r) => r.cover_round(),
-            Inner::Seg(s) => s.cover_round,
-        }
-    }
-
-    /// Snapshot of the mutable configuration — the same [`RingState`] as
-    /// [`RingRouter::state`], so equality (and Brent cycle probing over
-    /// it) is directly comparable across the two engines.
-    pub fn state(&self) -> RingState {
-        match &self.inner {
-            Inner::Serial(r) => r.state(),
-            Inner::Seg(s) => RingState {
-                dirs: s
-                    .segments
-                    .iter()
-                    .flat_map(|seg| seg.dirs.iter().copied())
-                    .collect(),
-                occupied: self.occupied(),
-            },
-        }
-    }
-
-    /// Advances one synchronous round: every agent moves.
-    pub fn step(&mut self) {
-        match &mut self.inner {
-            Inner::Serial(r) => r.step(),
-            Inner::Seg(s) => s.step_round(None),
-        }
-    }
-
-    /// Advances one round of a *delayed deployment* (§2.1): `delay(v, c)`
-    /// agents of the `c` at node `v` stay put (clamped to `c`). The
-    /// schedule must be a pure function (`Fn + Sync`) because segments
-    /// may query it from worker threads; [`RingRouter::step_delayed`]'s
-    /// `FnMut` surface is deliberately narrowed here.
-    pub fn step_delayed(&mut self, delay: impl Fn(u32, u32) -> u32 + Sync) {
-        match &mut self.inner {
-            Inner::Serial(r) => r.step_delayed(&delay),
-            Inner::Seg(s) => s.step_round(Some(&delay)),
-        }
-    }
-
-    /// Runs until every node has been visited, or gives up after
-    /// `max_rounds` total rounds.
-    pub fn run_until_covered(&mut self, max_rounds: u64) -> Option<u64> {
-        while self.cover_round().is_none() && self.round() < max_rounds {
-            self.step();
-        }
-        self.cover_round()
-    }
-
-    /// Runs `rounds` additional rounds (undelayed).
-    pub fn run(&mut self, rounds: u64) {
-        for _ in 0..rounds {
-            self.step();
-        }
-    }
-
-    /// Fault injection: scrambles `count` pointer directions — the exact
-    /// seed-chained draw sequence of [`RingRouter::corrupt_pointers`].
-    pub fn corrupt_pointers(&mut self, seed: u64, count: u32) -> u32 {
-        match &mut self.inner {
-            Inner::Serial(r) => r.corrupt_pointers(seed, count),
-            Inner::Seg(s) => s.corrupt_pointers(seed, count),
-        }
-    }
-
-    /// Fault injection: crashes up to `count` agents (always leaving at
-    /// least one) — the exact draw sequence of
-    /// [`RingRouter::remove_agents`].
-    pub fn remove_agents(&mut self, seed: u64, count: u32) -> u32 {
-        match &mut self.inner {
-            Inner::Serial(r) => r.remove_agents(seed, count),
-            Inner::Seg(s) => s.remove_agents(seed, count),
-        }
-    }
-
-    /// Starts a fresh cover epoch from the current configuration, exactly
-    /// like [`RingRouter::reset_cover_epoch`].
-    pub fn reset_cover_epoch(&mut self) {
-        match &mut self.inner {
-            Inner::Serial(r) => r.reset_cover_epoch(),
-            Inner::Seg(s) => s.reset_cover_epoch(),
-        }
-    }
-}
-
-impl SegRing {
-    fn new(n: usize, starts: &[u32], dirs: &[u8], p: usize, workers: usize) -> Self {
-        assert!(n >= 3, "ring router needs n >= 3");
-        assert!(!starts.is_empty(), "need at least one agent");
-        assert_eq!(dirs.len(), n, "direction vector length mismatch");
-        assert!(dirs.iter().all(|&d| d <= 1), "directions must be 0 or 1");
-        debug_assert!(p >= 2 && p <= n);
-        let n32 = n as u32;
-        let mut count = vec![0u32; n];
-        for &s in starts {
-            assert!(s < n32, "start position out of range");
-            count[s as usize] += 1;
-        }
-        let mut segments = Vec::with_capacity(p);
-        for s in 0..p {
-            let lo = (s * n / p) as u32;
-            let hi = ((s + 1) * n / p) as u32;
-            let len = (hi - lo) as usize;
-            let mut seg = Segment {
-                lo,
-                hi,
-                dirs: dirs[lo as usize..hi as usize].to_vec(),
-                occ_nodes: Vec::new(),
-                occ_counts: Vec::new(),
-                visited: VisitSet::new(len),
-                unvisited: len as u32,
-                interior_starts: 0,
-                interior_borders: 0,
-                out_cw: 0,
-                out_acw: 0,
-                in_cw: 0,
-                in_acw: 0,
-                parked: false,
-                fused: false,
-                cw_buf: Vec::new(),
-                acw_buf: Vec::new(),
-                held: SegStream::default(),
-                cw: SegStream::default(),
-                acw: SegStream::default(),
-                next: SegStream::default(),
-            };
-            for v in lo..hi {
-                let c = count[v as usize];
-                if c > 0 {
-                    seg.occ_nodes.push(v);
-                    seg.occ_counts.push(c);
-                    seg.visited.insert((v - lo) as usize);
-                    seg.unvisited -= 1;
-                }
-            }
-            seg.reseed_counters();
-            segments.push(seg);
-        }
-        let unvisited: u32 = segments.iter().map(|s| s.unvisited).sum();
-        SegRing {
-            n: n32,
-            k: starts.len() as u32,
-            round: 0,
-            unvisited,
-            cover_round: (unvisited == 0).then_some(0),
-            workers: workers.clamp(1, p),
-            segments,
-            exchange: Vec::new(),
-        }
-    }
-
-    /// Which segment owns global node `v`.
-    fn seg_index(&self, v: u32) -> usize {
-        let p = self.segments.len();
-        // The balanced partition makes v·P/n at most one segment off.
-        let mut s = ((v as u64 * p as u64) / u64::from(self.n)) as usize;
-        s = s.min(p - 1);
-        while self.segments[s].lo > v {
-            s -= 1;
-        }
-        while self.segments[s].hi <= v {
-            s += 1;
-        }
-        s
-    }
-
-    /// Runs `f` over every segment — sequentially, or fanned over up to
-    /// `workers` scoped threads. Segments own disjoint state, so the
-    /// fan-out is pure data parallelism; the scope join is the barrier.
-    fn for_each_segment(&mut self, f: impl Fn(&mut Segment) + Sync) {
-        let p = self.segments.len();
-        if self.workers <= 1 || p <= 1 {
-            for seg in &mut self.segments {
-                f(seg);
-            }
-            return;
-        }
-        let chunk = p.div_ceil(self.workers.min(p));
-        let f = &f;
-        std::thread::scope(|scope| {
-            for part in self.segments.chunks_mut(chunk) {
-                scope.spawn(move || {
-                    for seg in part {
-                        f(seg);
-                    }
-                });
-            }
-        });
-    }
-
-    /// One synchronous round: parallel departures, boundary exchange at
-    /// the barrier, parallel merges, then `O(P)` cover accounting.
-    fn step_round(&mut self, delay: Option<&(dyn Fn(u32, u32) -> u32 + Sync)>) {
-        self.round += 1;
-        self.for_each_segment(|seg| seg.depart(delay));
-        let p = self.segments.len();
-        self.exchange.clear();
-        self.exchange
-            .extend(self.segments.iter().map(|s| (s.out_cw, s.out_acw)));
-        for (s, seg) in self.segments.iter_mut().enumerate() {
-            seg.in_cw = self.exchange[(s + p - 1) % p].0;
-            seg.in_acw = self.exchange[(s + 1) % p].1;
-        }
-        self.for_each_segment(|seg| seg.absorb());
-        if self.unvisited > 0 {
-            self.unvisited = self.segments.iter().map(|s| s.unvisited).sum();
-            if self.unvisited == 0 && self.cover_round.is_none() {
-                self.cover_round = Some(self.round);
-            }
-        }
-        debug_assert_eq!(
-            self.segments
-                .iter()
-                .flat_map(|s| s.occ_counts.iter())
-                .sum::<u32>(),
-            self.k,
-            "agents conserved"
-        );
-    }
-
-    /// The merged §2.2 stats: interior counters summed, plus the `O(P)`
-    /// boundary terms (one start pair per boundary, two edge nodes per
-    /// segment) computed from the live visited bits.
-    fn domain_stats(&self) -> crate::domains::DomainStats {
-        let p = self.segments.len();
-        let mut starts = 0u32;
-        let mut borders = 0u32;
-        for (s, seg) in self.segments.iter().enumerate() {
-            starts += seg.interior_starts;
-            borders += seg.interior_borders;
-            // Boundary start pair (lo − 1, lo).
-            let prev = &self.segments[(s + p - 1) % p];
-            let prev_last = prev.visited.contains(prev.len() - 1);
-            if seg.visited.contains(0) && !prev_last {
-                starts += 1;
-            }
-            // Edge nodes lo and hi − 1 (one node when the segment has
-            // length 1) — their border status spans a segment boundary,
-            // so it is recomputed here instead of tracked incrementally.
-            borders += u32::from(self.is_border(seg.lo));
-            if seg.len() > 1 {
-                borders += u32::from(self.is_border(seg.hi - 1));
-            }
-        }
-        let domains = if self.unvisited == 0 { 1 } else { starts };
-        crate::domains::DomainStats { domains, borders }
-    }
-
-    fn vis(&self, v: u32) -> bool {
-        let seg = &self.segments[self.seg_index(v)];
-        seg.visited.contains((v - seg.lo) as usize)
-    }
-
-    fn is_border(&self, v: u32) -> bool {
-        if !self.vis(v) {
-            return false;
-        }
-        let prev = if v == 0 { self.n - 1 } else { v - 1 };
-        let next = if v + 1 == self.n { 0 } else { v + 1 };
-        !self.vis(prev) || !self.vis(next)
-    }
-
-    fn corrupt_pointers(&mut self, seed: u64, count: u32) -> u32 {
-        let mut s = seed;
-        let mut changed = 0;
-        for _ in 0..count {
-            s = crate::rng::splitmix64(s);
-            let v = (s % u64::from(self.n)) as u32;
-            let new_dir = ((s >> 32) & 1) as u8;
-            let si = self.seg_index(v);
-            let seg = &mut self.segments[si];
-            let li = (v - seg.lo) as usize;
-            changed += u32::from(seg.dirs[li] != new_dir);
-            seg.dirs[li] = new_dir;
-        }
-        changed
-    }
-
-    fn remove_agents(&mut self, seed: u64, count: u32) -> u32 {
-        let mut s = seed;
-        let mut removed = 0;
-        for _ in 0..count {
-            if self.k <= 1 {
-                break;
-            }
-            s = crate::rng::splitmix64(s);
-            // The global occupied list is the concatenation of the
-            // per-segment lists, so indexing it by walking the segments
-            // reproduces RingRouter::remove_agents draw for draw.
-            let total: u64 = self.segments.iter().map(|g| g.occ_nodes.len() as u64).sum();
-            let mut i = (s % total) as usize;
-            for seg in &mut self.segments {
-                if i < seg.occ_nodes.len() {
-                    seg.occ_counts[i] -= 1;
-                    if seg.occ_counts[i] == 0 {
-                        seg.occ_nodes.remove(i);
-                        seg.occ_counts.remove(i);
-                    }
-                    break;
-                }
-                i -= seg.occ_nodes.len();
-            }
-            self.k -= 1;
-            removed += 1;
-        }
-        removed
-    }
-
-    fn reset_cover_epoch(&mut self) {
-        for seg in &mut self.segments {
-            let len = seg.len();
-            let mut visited = VisitSet::new(len);
-            for &v in &seg.occ_nodes {
-                visited.insert((v - seg.lo) as usize);
-            }
-            seg.visited = visited;
-            seg.unvisited = len as u32 - seg.occ_nodes.len() as u32;
-            seg.reseed_counters();
-        }
-        self.unvisited = self.segments.iter().map(|s| s.unvisited).sum();
-        self.cover_round = (self.unvisited == 0).then_some(self.round);
-    }
-}
-
-impl crate::CoverProcess for SegmentedRing {
-    fn kind_name(&self) -> &'static str {
-        "rotor_ring_seg"
-    }
-
-    fn node_count(&self) -> usize {
-        self.n() as usize
-    }
-
-    fn round(&self) -> u64 {
-        SegmentedRing::round(self)
-    }
-
-    fn step(&mut self) {
-        SegmentedRing::step(self);
-    }
-
-    fn cover_round(&self) -> Option<u64> {
-        SegmentedRing::cover_round(self)
-    }
-
-    fn visited_count(&self) -> usize {
-        (self.n() - self.unvisited_count()) as usize
-    }
-
-    fn is_node_visited(&self, node: usize) -> bool {
-        self.is_visited(node as u32)
-    }
-
-    /// Segment-local counters merged in `O(P)` — constant in `n`, like
-    /// the serial engine's `O(1)` counters, and property-tested
-    /// bit-identical to both [`RingRouter`] and the `O(n)` scan.
-    fn domain_stats(&self) -> crate::domains::DomainStats {
-        match &self.inner {
-            Inner::Serial(r) => crate::CoverProcess::domain_stats(&**r),
-            Inner::Seg(s) => s.domain_stats(),
-        }
-    }
-}
-
-impl crate::limit::ConfigSnapshot for SegmentedRing {
-    type Config = RingState;
-
-    fn config(&self) -> RingState {
-        self.state()
-    }
-}
+pub type SegmentedRing = RingRouter;
 
 #[cfg(test)]
 mod tests {
@@ -1213,29 +708,36 @@ mod tests {
             for p in [2usize, 3, 4, 7, 16] {
                 let starts = [0u32];
                 let dirs = vec![CW; n];
-                let seg = SegmentedRing::new(n, &starts, &dirs, p);
+                let seg = SegmentedRing::segmented(n, &starts, &dirs, p);
                 let eff = seg.segment_count();
                 assert!(eff <= n && eff >= 1);
-                if let Inner::Seg(s) = &seg.inner {
-                    let mut covered = 0u32;
-                    for (i, g) in s.segments.iter().enumerate() {
-                        assert!(g.lo < g.hi, "non-empty segment");
-                        covered += g.hi - g.lo;
-                        assert_eq!(s.seg_index(g.lo), i);
-                        assert_eq!(s.seg_index(g.hi - 1), i);
-                    }
-                    assert_eq!(covered, n as u32);
+                let mut next_lo = 0u32;
+                for (i, g) in seg.segments.iter().enumerate() {
+                    assert!(g.lo < g.hi, "non-empty segment");
+                    assert_eq!(g.lo, next_lo, "segments tile the ring in order");
+                    next_lo = g.hi;
+                    assert_eq!(seg.seg_index(g.lo), i);
+                    assert_eq!(seg.seg_index(g.hi - 1), i);
                 }
+                assert_eq!(next_lo, n as u32);
             }
         }
     }
 
     #[test]
     fn p_one_is_the_serial_path() {
-        let seg = SegmentedRing::new(8, &[0], &[CW; 8], 1);
-        assert!(matches!(seg.inner, Inner::Serial(_)));
+        let mut seg = SegmentedRing::segmented(8, &[0], &[CW; 8], 1);
+        let mut serial = RingRouter::new(8, &[0], &[CW; 8]);
         assert_eq!(seg.segment_count(), 1);
+        assert_eq!(serial.segment_count(), 1);
+        // Same engine, different backend labels.
         assert_eq!(seg.kind_name(), "rotor_ring_seg");
+        assert_eq!(serial.kind_name(), "rotor_ring");
+        for _ in 0..100 {
+            seg.step();
+            serial.step();
+            assert_eq!(seg.state(), serial.state());
+        }
     }
 
     #[test]
@@ -1271,7 +773,7 @@ mod tests {
         let n = 64u32;
         let starts = [0u32];
         let dirs = PointerInit::TowardNearestAgent.ring_directions(n as usize, &starts);
-        let mut r = SegmentedRing::new(n as usize, &starts, &dirs, 4);
+        let mut r = SegmentedRing::segmented(n as usize, &starts, &dirs, 4);
         let c = r.run_until_covered(10_000_000).unwrap();
         assert!(
             c >= u64::from(n * n) / 4 && c <= u64::from(4 * n * n),

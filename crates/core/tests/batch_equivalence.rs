@@ -1,26 +1,31 @@
-//! Property tests pinning [`BatchRing`] lanes bit-identical to
-//! [`RingRouter`].
+//! Property tests pinning [`BatchRing`] lanes bit-identical to the
+//! per-agent ring reference.
 //!
 //! The batch width must be a pure throughput parameter: for every lane
 //! `(n, k, seed, placement, init)` at every width `W`, the per-round
 //! [`RingState`] sequence, the cover round, the §2.2 domain statistics and
 //! the Brent `(μ, λ)` cycle structure of the single-lane view must all
-//! equal the serial [`RingRouter`]'s. These tests sweep random mixed-shape
-//! batches across `W ∈ {1, 2, 3, 7, 64}` — including the isolation edge
-//! case the arena layout has to get right: one lane covering mid-batch
-//! (and freezing) must not perturb any neighbouring lane.
+//! equal those of [`RingReference`], which moves one agent at a time and
+//! takes its §2.2 stats from the `O(n)` scan. These tests sweep random
+//! mixed-shape batches across `W ∈ {1, 2, 3, 7, 64}` — including the
+//! isolation edge case the arena layout has to get right: one lane
+//! covering mid-batch (and freezing) must not perturb any neighbouring
+//! lane.
 //!
 //! [`RingState`]: rotor_core::RingState
 
 #![forbid(unsafe_code)]
 
+mod common;
+
+use common::RingReference;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rotor_core::domains::{scan_domain_stats, DomainSampler};
 use rotor_core::init::PointerInit;
-use rotor_core::limit::probe_cycle;
+use rotor_core::limit::{probe_cycle, ConfigSnapshot};
 use rotor_core::placement::Placement;
-use rotor_core::{BatchRing, CoverProcess, LaneSpec, RingRouter};
+use rotor_core::{BatchRing, CoverProcess, LaneSpec};
 
 const WIDTHS: [usize; 5] = [1, 2, 3, 7, 64];
 
@@ -47,62 +52,56 @@ fn random_lane(rng: &mut SmallRng, n: usize) -> (Vec<u32>, Vec<u8>) {
     (starts, dirs)
 }
 
-/// Drive a batch and its per-lane serial references `rounds` rounds in
+/// Drive a batch and its per-lane references `rounds` rounds in
 /// lockstep, checking every deterministic per-lane field after every
-/// round. The serial references freeze at their own cover round, exactly
-/// like batch lanes do under [`BatchRing::step`].
+/// round. The references freeze at their own cover round, exactly like
+/// batch lanes do under [`BatchRing::step`].
 fn assert_batch_lockstep(n: usize, lanes: &[(Vec<u32>, Vec<u8>)], rounds: u64, ctx: &str) {
     let specs: Vec<LaneSpec> = lanes
         .iter()
         .map(|(starts, dirs)| LaneSpec { starts, dirs })
         .collect();
     let mut batch = BatchRing::new(n, &specs);
-    let mut serials: Vec<RingRouter> = lanes
+    let mut references: Vec<RingReference> = lanes
         .iter()
-        .map(|(starts, dirs)| RingRouter::new(n, starts, dirs))
+        .map(|(starts, dirs)| RingReference::new(n, starts, dirs))
         .collect();
     for r in 0..=rounds {
-        for (l, serial) in serials.iter().enumerate() {
+        for (l, reference) in references.iter().enumerate() {
             assert_eq!(
-                serial.state(),
+                reference.config(),
                 batch.lane_state(l),
                 "state drift at round {r}, lane {l} ({ctx})"
             );
             assert_eq!(
-                serial.cover_round(),
+                reference.cover_round(),
                 batch.lane_cover_round(l),
                 "cover-round drift at round {r}, lane {l} ({ctx})"
             );
-            let want = CoverProcess::domain_stats(serial);
             assert_eq!(
-                want,
+                scan_domain_stats(reference),
                 batch.lane_domain_stats(l),
                 "domain-stats drift at round {r}, lane {l} ({ctx})"
             );
             assert_eq!(
-                want,
-                scan_domain_stats(serial),
-                "serial incremental stats disagree with the scan ({ctx})"
-            );
-            assert_eq!(
-                CoverProcess::visited_count(serial),
+                reference.visited_count(),
                 batch.lane_visited_count(l),
                 "visited-count drift at round {r}, lane {l} ({ctx})"
             );
         }
         batch.step();
-        for serial in &mut serials {
-            if serial.cover_round().is_none() {
-                serial.step();
+        for reference in &mut references {
+            if reference.cover_round().is_none() {
+                reference.step();
             }
         }
     }
 }
 
-/// Tentpole pin: random mixed-shape batches, every width, every per-lane
-/// deterministic field, every round.
+/// Random mixed-shape batches, every width, every per-lane deterministic
+/// field, every round.
 #[test]
-fn batched_lanes_match_ring_router_per_round() {
+fn batched_lanes_match_the_per_agent_reference_per_round() {
     let mut rng = SmallRng::seed_from_u64(0xBA7C);
     for (case, &w) in WIDTHS.iter().enumerate() {
         let n = rng.gen_range(3..48usize);
@@ -164,25 +163,25 @@ fn mid_batch_cover_leaves_neighbours_untouched() {
 
 /// Budget semantics match the serial driver: a lane that cannot cover
 /// within the budget stops at exactly `max_rounds` rounds, like
-/// [`CoverProcess::run_until_covered`] does serially.
+/// [`CoverProcess::run_until_covered`] does on the reference.
 #[test]
 fn budget_exhaustion_matches_serial() {
     let n = 64usize;
     let starts = Placement::AllOnOne(0).positions(n, 1);
     let dirs = PointerInit::AwayFromNearestAgent.ring_directions(n, &starts);
     let budget = 50u64;
-    let mut serial = RingRouter::new(n, &starts, &dirs);
-    assert_eq!(serial.run_until_covered(budget), None, "must time out");
+    let mut reference = RingReference::new(n, &starts, &dirs);
+    assert_eq!(reference.run_until_covered(budget), None, "must time out");
     let mut batch = BatchRing::single(n, &starts, &dirs);
     batch.run_until_covered(budget);
     assert_eq!(batch.lane_cover_round(0), None);
-    assert_eq!(batch.lane_round(0), serial.round());
-    assert_eq!(batch.lane_state(0), serial.state());
+    assert_eq!(batch.lane_round(0), reference.round());
+    assert_eq!(batch.lane_state(0), reference.config());
 }
 
-/// Satellite-3 pin, sampling half: the batch's native per-lane §2.2
-/// sampling records exactly the rounds a serial [`DomainSampler`] attached
-/// through `run_observed` records, sample for sample, at several strides —
+/// Sampling: the batch's native per-lane §2.2 sampling records exactly
+/// the rounds a [`DomainSampler`] attached to the reference through
+/// `run_observed` records, sample for sample, at several strides —
 /// including lanes that cover mid-batch.
 #[test]
 fn sampled_run_matches_serial_domain_sampler() {
@@ -199,9 +198,9 @@ fn sampled_run_matches_serial_domain_sampler() {
             let mut batch = BatchRing::new(n, &specs);
             let batch_samples = batch.run_until_covered_sampled(budget, stride);
             for (l, (starts, dirs)) in lanes.iter().enumerate() {
-                let mut serial = RingRouter::new(n, starts, dirs);
+                let mut reference = RingReference::new(n, starts, dirs);
                 let mut sampler = DomainSampler::every(stride);
-                let cover = serial.run_observed(budget, &mut sampler);
+                let cover = reference.run_observed(budget, &mut sampler);
                 assert_eq!(
                     cover,
                     batch.lane_cover_round(l),
@@ -216,9 +215,9 @@ fn sampled_run_matches_serial_domain_sampler() {
     }
 }
 
-/// Satellite-3 pin, probe half: Brent `(μ, λ)` through the single-lane
-/// [`CoverProcess`] view (the `run_probed` fallback-to-serial surface)
-/// equals the serial engine's cycle structure.
+/// Probing: Brent `(μ, λ)` through the single-lane [`CoverProcess`] view
+/// (the `run_probed` fallback-to-serial surface) equals the reference's
+/// cycle structure.
 #[test]
 fn single_lane_probe_cycle_matches_serial() {
     let mut rng = SmallRng::seed_from_u64(0xC1C1);
@@ -227,15 +226,14 @@ fn single_lane_probe_cycle_matches_serial() {
         let k = rng.gen_range(1..4usize);
         let starts: Vec<u32> = (0..k).map(|_| rng.gen_range(0..n as u32)).collect();
         let dirs = PointerInit::TowardNearestAgent.ring_directions(n, &starts);
-        let serial = probe_cycle(|| RingRouter::new(n, &starts, &dirs), 200_000);
+        let want = probe_cycle(|| RingReference::new(n, &starts, &dirs), 200_000);
         let single = probe_cycle(|| BatchRing::single(n, &starts, &dirs), 200_000);
-        assert_eq!(serial, single, "(μ, λ) drift: n={n} k={k}");
+        assert_eq!(want, single, "(μ, λ) drift: n={n} k={k}");
     }
 }
 
 /// The single-lane view's observed run (the exact path batched sweeps use
-/// for observer-attached cells) matches the serial engine sample for
-/// sample.
+/// for observer-attached cells) matches the reference sample for sample.
 #[test]
 fn single_lane_observed_run_matches_serial() {
     let n = 48usize;
@@ -243,16 +241,16 @@ fn single_lane_observed_run_matches_serial() {
     let dirs = PointerInit::TowardNearestAgent.ring_directions(n, &starts);
     let budget = 4 * (n as u64) * (n as u64);
 
-    let mut serial = RingRouter::new(n, &starts, &dirs);
-    let mut serial_sampler = DomainSampler::every(2);
-    let want = serial.run_observed(budget, &mut serial_sampler);
+    let mut reference = RingReference::new(n, &starts, &dirs);
+    let mut reference_sampler = DomainSampler::every(2);
+    let want = reference.run_observed(budget, &mut reference_sampler);
 
     let mut single = BatchRing::single(n, &starts, &dirs);
     let mut single_sampler = DomainSampler::every(2);
     let got = single.run_observed(budget, &mut single_sampler);
 
     assert_eq!(want, got, "cover drift through the observed run");
-    assert_eq!(serial_sampler.samples, single_sampler.samples);
+    assert_eq!(reference_sampler.samples, single_sampler.samples);
     assert_eq!(CoverProcess::kind_name(&single), "rotor_ring_batch");
 }
 

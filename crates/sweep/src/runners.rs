@@ -95,9 +95,11 @@ pub struct CoverSample {
     pub nanos: u64,
     /// Which engine actually ran the cell
     /// ([`CoverProcess::kind_name`]): `"rotor_ring"`, `"rotor_ring_seg"`,
-    /// `"rotor_general"`, `"rotor_torus_seg"` or `"walk"` — the resolution of the
-    /// [`ProcessKind::Rotor`] auto-dispatch, recorded so reports can carry
-    /// the backend column.
+    /// `"rotor_ring_batch"`, `"rotor_general"`, `"rotor_torus_seg"` or
+    /// `"walk"` — the resolution of the [`ProcessKind::Rotor`]
+    /// auto-dispatch, recorded so reports can carry the backend column.
+    /// [`run_scenarios_batched`](crate::batch::run_scenarios_batched)
+    /// labels every ring cell it runs `"rotor_ring_batch"`.
     pub backend: &'static str,
 }
 
@@ -180,7 +182,6 @@ pub fn run_scenario_observed<O>(
 ) -> CoverSample
 where
     O: Observer<RingRouter>
-        + Observer<SegmentedRing>
         + Observer<SegmentedTorus>
         + Observer<BatchRing>
         + for<'g> Observer<Engine<'g>>
