@@ -225,7 +225,8 @@ impl BatchRing {
                 "directions must be 0 or 1"
             );
             batch.dirs.extend_from_slice(lane.dirs);
-            batch.ks[l] = lane.starts.len() as u32;
+            batch.ks[l] = u32::try_from(lane.starts.len())
+                .expect("a lane of more than u32::MAX agents would wrap its u32 agent count");
             count.iter_mut().for_each(|c| *c = 0);
             for &s in lane.starts {
                 assert!(s < n32, "start position out of range");

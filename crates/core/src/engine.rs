@@ -128,7 +128,8 @@ impl<'g> Engine<'g> {
             agents: count,
             occupied,
             round: 0,
-            k: agents.len() as u32,
+            k: u32::try_from(agents.len())
+                .expect("more than u32::MAX agents would wrap the u32 agent count"),
             visits,
             exits: vec![0; n],
             arc_traversals,

@@ -158,7 +158,8 @@ impl RingRouter {
         let unvisited: u32 = segments.iter().map(|s| s.unvisited).sum();
         RingRouter {
             n: n32,
-            k: starts.len() as u32,
+            k: u32::try_from(starts.len())
+                .expect("more than u32::MAX agents would wrap the u32 agent count"),
             round: 0,
             unvisited,
             cover_round: (unvisited == 0).then_some(0),

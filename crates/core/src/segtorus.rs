@@ -434,7 +434,8 @@ impl SegmentedTorus {
         SegmentedTorus {
             rows,
             cols,
-            k: agents.len() as u32,
+            k: u32::try_from(agents.len())
+                .expect("more than u32::MAX agents would wrap the u32 agent count"),
             round: 0,
             unvisited,
             cover_round: (unvisited == 0).then_some(0),

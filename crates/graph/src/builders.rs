@@ -10,6 +10,7 @@
 //! Port conventions are documented per generator; tests pin them down, since
 //! rotor-router trajectories depend on the port order.
 
+use crate::graph::check_size;
 use crate::{PortGraph, PortGraphBuilder};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -28,16 +29,14 @@ use rand::{Rng, SeedableRng};
 pub fn ring(n: usize) -> PortGraph {
     assert!(n >= 2, "ring needs at least 2 nodes");
     if n == 2 {
-        let mut b = PortGraphBuilder::new(2);
-        b.add_edge(0, 1);
-        return b.build().expect("edge graph is valid");
+        return path(2);
     }
     let n32 = u32::try_from(2 * n).expect("the ring's 2n arcs fit the u32 CSR offsets") / 2;
     let offsets = (0..=n32).map(|v| 2 * v).collect();
     let adj = (0..n32)
         .flat_map(|v| [(v + 1) % n32, (v + n32 - 1) % n32])
         .collect();
-    PortGraph::from_csr(offsets, adj).expect("ring adjacency is always valid")
+    PortGraph::from_symmetric_csr(offsets, adj).expect("ring adjacency is always valid")
 }
 
 /// The `n`-node path `P_n` with nodes `0 — 1 — … — n−1`.
@@ -104,18 +103,26 @@ pub fn torus(rows: usize, cols: usize) -> PortGraph {
 
 /// The complete graph `K_n`.
 ///
+/// Ports: row `v` is `0..n` without `v`, the order that inserting the edges
+/// `{u, w}`, `u < w`, lexicographically gives. The CSR is written directly
+/// (`offsets[v] = v·(n−1)`), then gets [`PortGraphBuilder::build`]'s
+/// checks: one stamp scan, then connectivity. `O(n²)`.
+///
 /// # Panics
 ///
-/// Panics if `n < 2`.
+/// Panics if `n < 2`, or, before allocating, with the `TooLarge` message
+/// if the `n·(n−1)` arcs exceed `u32::MAX` (`n ≥ 65,537`).
 pub fn complete(n: usize) -> PortGraph {
     assert!(n >= 2, "complete graph needs at least 2 nodes");
-    let mut b = PortGraphBuilder::new(n);
-    for u in 0..n as u32 {
-        for v in (u + 1)..n as u32 {
-            b.add_edge(u, v);
-        }
+    let arcs = (n as u64).saturating_mul(n as u64 - 1);
+    check_size(n, arcs).unwrap_or_else(|e| panic!("{e}"));
+    let (n32, d) = (n as u32, n as u32 - 1);
+    let offsets = (0..=n32).map(|v| v * d).collect();
+    let mut adj = Vec::with_capacity(arcs as usize);
+    for v in 0..n32 {
+        adj.extend((0..v).chain(v + 1..n32));
     }
-    b.build().expect("complete construction is always valid")
+    PortGraph::from_symmetric_csr(offsets, adj).expect("complete adjacency is always valid")
 }
 
 /// The star `S_{n−1}`: node 0 is the centre, nodes `1..n` are leaves.
@@ -207,39 +214,47 @@ pub fn lollipop(clique: usize, tail: usize) -> PortGraph {
 /// model with restarts (pairing half-edges, rejecting self-loops, duplicate
 /// edges and disconnected outcomes).
 ///
+/// An attempt shuffles a reused stub buffer and writes each pair into a
+/// reused `n·d` adjacency (ports in pair order); a self-loop, or a pair
+/// already in the row filled so far (`O(d)`), rejects it with no allocation.
+/// A full pairing gets [`PortGraphBuilder::build`]'s checks.
+///
 /// Deterministic for a fixed `seed`.
 ///
 /// # Panics
 ///
 /// Panics if `n * d` is odd, `d >= n`, or `d < 2` (connectivity would be
-/// hopeless), or if 1000 restarts all fail (practically unreachable for
-/// `d ≥ 3` and moderate `n`).
+/// hopeless), if its `n·d` arcs exceed `u32::MAX`, or if 1000 restarts all
+/// fail (practically unreachable for `d ≥ 3` and moderate `n`).
 pub fn random_regular(n: usize, d: usize, seed: u64) -> PortGraph {
     assert!(d >= 2, "random regular graph needs degree >= 2");
     assert!(d < n, "degree must be < n");
     assert!((n * d).is_multiple_of(2), "n*d must be even");
+    check_size(n, (n * d) as u64).unwrap_or_else(|e| panic!("{e}"));
     // lint: allow(named-rng-streams) -- seed is derived by callers via STREAM_GRAPH (rotor-sweep scenario dispatch)
     let mut rng = SmallRng::seed_from_u64(seed);
+    let (mut stubs, mut adj) = (vec![0u32; n * d], vec![0u32; n * d]);
+    let mut filled = vec![0usize; n];
     'attempt: for _ in 0..1000 {
-        let mut stubs: Vec<u32> = (0..n as u32)
-            .flat_map(|v| std::iter::repeat_n(v, d))
-            .collect();
-        stubs.shuffle(&mut rng);
-        let mut b = PortGraphBuilder::new(n);
-        let mut seen = std::collections::BTreeSet::new();
-        for pair in stubs.chunks(2) {
-            let (u, v) = (pair[0], pair[1]);
-            if u == v {
-                continue 'attempt;
-            }
-            let key = (u.min(v), u.max(v));
-            if !seen.insert(key) {
-                continue 'attempt;
-            }
-            b.add_edge(u, v);
+        for (i, stub) in stubs.iter_mut().enumerate() {
+            *stub = (i / d) as u32;
         }
-        if let Ok(g) = b.build() {
-            return g;
+        stubs.shuffle(&mut rng);
+        filled.fill(0);
+        for pair in stubs.chunks(2) {
+            let (u, v) = (pair[0] as usize, pair[1] as usize);
+            if u == v || adj[u * d..u * d + filled[u]].contains(&pair[1]) {
+                continue 'attempt;
+            }
+            adj[u * d + filled[u]] = pair[1];
+            adj[v * d + filled[v]] = pair[0];
+            filled[u] += 1;
+            filled[v] += 1;
+        }
+        let offsets = (0..=n).map(|v| (v * d) as u32).collect();
+        match PortGraph::from_symmetric_csr(offsets, adj) {
+            Ok(g) => return g,
+            Err(_) => adj = vec![0u32; n * d],
         }
     }
     panic!("random_regular: failed to generate after 1000 attempts");
@@ -302,7 +317,7 @@ pub fn shuffle_ports(g: &PortGraph, seed: u64) -> PortGraph {
         );
         offsets.push(adj.len() as u32);
     }
-    PortGraph::from_csr(offsets, adj).expect("shuffled adjacency is valid")
+    PortGraph::from_symmetric_csr(offsets, adj).expect("shuffled adjacency is valid")
 }
 
 #[cfg(test)]
@@ -376,6 +391,12 @@ mod tests {
         assert_eq!(g.edge_count(), 15);
         assert!(g.is_regular());
         assert_eq!(g.degree(NodeId::new(3)), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "65537 nodes and 4295032832 arcs exceeds the u32 index range")]
+    fn complete_refuses_more_arcs_than_u32_before_allocating() {
+        complete(65_537);
     }
 
     #[test]

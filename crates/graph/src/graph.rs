@@ -175,23 +175,19 @@ impl std::error::Error for GraphError {}
 /// neighbour arena plus a node-offset table, rather than one `Vec` per
 /// node. Arcs of `G⃗` thus have a global index `arc_index(v, p) =
 /// offset(v) + p`, which per-arc counters in the simulation engines use to
-/// keep their state in a single flat allocation too.
+/// keep their state in a single flat allocation too. Nothing else is
+/// stored: reverse ports are looked up on demand
+/// ([`entry_port`](Self::entry_port)), so a graph holds one `u32` per arc
+/// and one per node.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct PortGraph {
     /// CSR offsets: the ports of node `v` occupy `offsets[v] .. offsets[v+1]`
-    /// in the flat arenas. `offsets.len() == n + 1` and
-    /// `offsets[n] == 2|E|`.
+    /// in `adj`. `offsets.len() == n + 1` and `offsets[n] == 2|E|`.
     offsets: Vec<u32>,
     /// Flat neighbour arena: `adj[offsets[v] + p]` = neighbour of `v`
-    /// through port `p`.
+    /// through port `p`. Symmetric: `v` appears exactly once in the row of
+    /// each of its neighbours.
     adj: Vec<u32>,
-    /// Flat reverse-port arena, aligned with `adj`: the port of the
-    /// neighbour that leads back to `v`.
-    ///
-    /// If `u = adj[offsets[v] + p]` and `q = back[offsets[v] + p]`, then
-    /// `adj[offsets[u] + q] == v`. This is the port an agent *enters* `u`
-    /// through when traversing the arc `(v, u)`.
-    back: Vec<u32>,
     edge_count: usize,
 }
 
@@ -260,13 +256,15 @@ impl PortGraph {
     /// The port of `neighbor(v, p)` through which the arc from `v` arrives,
     /// i.e. the port leading back to `v`.
     ///
+    /// This is [`port_to`](Self::port_to)`(neighbor(v, p), v)`: a scan of
+    /// the neighbour's row, linear in its degree.
+    ///
     /// # Panics
     ///
     /// Panics if `v` or `p` is out of range.
-    #[inline]
     pub fn entry_port(&self, v: NodeId, p: usize) -> usize {
-        let range = self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize;
-        self.back[range][p] as usize
+        self.port_to(self.neighbor(v, p), v)
+            .expect("every arc has a reverse arc")
     }
 
     /// The port of `v` that leads to `u`, if `{v, u}` is an edge.
@@ -316,52 +314,37 @@ impl PortGraph {
     /// Builds a port graph directly from an adjacency table: `adj[v]` lists
     /// the neighbours of `v` in port order.
     ///
-    /// `O(n + m)`: the lists are flattened into the CSR arena and handed to
-    /// the same validation and back-port pass as the crate's generators use.
+    /// `O(n + m)`: the lists are flattened into the CSR arena and checked.
+    /// One stamp scan finds the first out-of-range, self-loop or repeated
+    /// entry. The arcs before it are counting-sorted by head; then, per
+    /// head `u`, the neighbours of `u` are stamped and every arc into `u`
+    /// looks up its tail, which shows whether the table is symmetric.
     ///
     /// # Errors
     ///
     /// Returns an error string if the table is not symmetric (each edge must
     /// appear exactly once from each side), contains self-loops or
     /// duplicates, describes a disconnected graph, or does not fit the
-    /// `u32` indices. The first fault in `(node, port)` order is reported.
+    /// `u32` indices. The first fault in `(node, port)` order is reported,
+    /// checking range, self-loop, repeat and then symmetry at each arc.
     pub fn from_adjacency(adj: Vec<Vec<u32>>) -> Result<PortGraph, String> {
         if adj.is_empty() {
             return Err("empty adjacency table".to_string());
         }
+        let n = adj.len();
         let arcs: u64 = adj.iter().map(|l| l.len() as u64).sum();
-        check_size(adj.len(), arcs).map_err(|e| e.to_string())?;
-        let mut offsets = Vec::with_capacity(adj.len() + 1);
+        check_size(n, arcs).map_err(|e| e.to_string())?;
+        let mut offsets = Vec::with_capacity(n + 1);
         let mut flat = Vec::with_capacity(arcs as usize);
         offsets.push(0);
         for list in adj {
             flat.extend_from_slice(&list);
             offsets.push(flat.len() as u32);
         }
-        PortGraph::from_csr(offsets, flat)
-    }
-
-    /// Validates a CSR adjacency (`adj[offsets[v]..offsets[v+1]]` lists the
-    /// neighbours of `v` in port order) and derives its back ports, in
-    /// `O(n + m)`.
-    ///
-    /// One stamp scan finds the first out-of-range, self-loop or repeated
-    /// entry. The arcs before it are counting-sorted by head; then, per
-    /// head `u`, the port of each neighbour of `u` is stamped and every arc
-    /// into `u` looks up its tail, which yields its back port or shows the
-    /// table is not symmetric. Errors name the first fault in `(node, port)`
-    /// order, checking range, self-loop, repeat and then symmetry at each
-    /// arc.
-    ///
-    /// `offsets` must hold `n + 1 ≥ 2` non-decreasing entries from 0 to
-    /// `adj.len() ≤ u32::MAX`.
-    pub(crate) fn from_csr(offsets: Vec<u32>, adj: Vec<u32>) -> Result<PortGraph, String> {
-        let n = offsets.len() - 1;
-        debug_assert!(n >= 1 && offsets[0] == 0 && offsets[n] as usize == adj.len());
-        let fault = first_invalid_arc(&offsets, &adj);
-        let valid = fault.as_ref().map_or(adj.len(), |(a, _)| *a);
+        let fault = first_invalid_arc(&offsets, &flat);
+        let valid = fault.as_ref().map_or(flat.len(), |(a, _)| *a);
         let mut start = vec![0u32; n + 1];
-        for &u in &adj[..valid] {
+        for &u in &flat[..valid] {
             start[u as usize + 1] += 1;
         }
         for u in 0..n {
@@ -372,43 +355,50 @@ impl PortGraph {
         for v in 0..n {
             let ports = offsets[v] as usize..(offsets[v + 1] as usize).min(valid);
             for a in ports {
-                let slot = &mut cursor[adj[a] as usize];
+                let slot = &mut cursor[flat[a] as usize];
                 incoming[*slot as usize] = (a as u32, v as u32);
                 *slot += 1;
             }
         }
-        let mut back = vec![0u32; adj.len()];
         let mut stamp = vec![u32::MAX; n];
-        let mut port_of = vec![0u32; n];
         let mut asymmetric: Option<(u32, u32)> = None;
         for u in 0..n {
-            let ports = &adj[offsets[u] as usize..offsets[u + 1] as usize];
-            for (q, &w) in ports.iter().enumerate() {
+            for &w in &flat[offsets[u] as usize..offsets[u + 1] as usize] {
                 if (w as usize) < n {
                     stamp[w as usize] = u as u32;
-                    port_of[w as usize] = q as u32;
                 }
             }
             for &(a, v) in &incoming[start[u] as usize..start[u + 1] as usize] {
-                if stamp[v as usize] == u as u32 {
-                    back[a as usize] = port_of[v as usize];
-                } else if asymmetric.is_none_or(|(b, _)| a < b) {
+                if stamp[v as usize] != u as u32 && asymmetric.is_none_or(|(b, _)| a < b) {
                     asymmetric = Some((a, v));
                 }
             }
         }
         if let Some((a, v)) = asymmetric {
-            return Err(format!("edge {v}-{} not symmetric", adj[a as usize]));
+            return Err(format!("edge {v}-{} not symmetric", flat[a as usize]));
         }
-        if let Some((_, msg)) = fault {
+        PortGraph::from_symmetric_csr(offsets, flat)
+    }
+
+    /// Wraps a CSR adjacency (`adj[offsets[v]..offsets[v+1]]` is the row of
+    /// `v`; `n + 1 ≥ 2` non-decreasing offsets from 0 to `adj.len()`) that
+    /// lists every edge from both ends, after [`PortGraphBuilder::build`]'s
+    /// checks: a stamp scan for range, self-loops and repeats (with
+    /// [`from_adjacency`](Self::from_adjacency)'s messages), then
+    /// connectivity. `O(n + m)`.
+    pub(crate) fn from_symmetric_csr(
+        offsets: Vec<u32>,
+        adj: Vec<u32>,
+    ) -> Result<PortGraph, String> {
+        let n = offsets.len() - 1;
+        debug_assert!(n >= 1 && offsets[0] == 0 && offsets[n] as usize == adj.len());
+        if let Some((_, msg)) = first_invalid_arc(&offsets, &adj) {
             return Err(msg);
         }
-        let edge_count = adj.len() / 2;
         let g = PortGraph {
+            edge_count: adj.len() / 2,
             offsets,
             adj,
-            back,
-            edge_count,
         };
         if !crate::algo::is_connected(&g) {
             return Err("graph is not connected".to_string());
@@ -443,7 +433,7 @@ impl fmt::Debug for PortGraph {
 
 /// Refuses, rather than wraps, a graph whose node or arc count does not fit
 /// the `u32` node ids and CSR offsets.
-fn check_size(nodes: usize, arcs: u64) -> Result<(), GraphError> {
+pub(crate) fn check_size(nodes: usize, arcs: u64) -> Result<(), GraphError> {
     let limit = u64::from(u32::MAX);
     if nodes as u64 > limit || arcs > limit {
         return Err(GraphError::TooLarge {
@@ -488,7 +478,7 @@ fn first_invalid_arc(offsets: &[u32], adj: &[u32]) -> Option<(usize, String)> {
 ///
 /// Building costs `O(n + m)`: [`add_edge`](Self::add_edge) only checks its
 /// endpoints and records the edge, and [`build`](Self::build) assembles the
-/// CSR arenas by counting sort, then looks for duplicate edges with one
+/// CSR arena by counting sort, then looks for duplicate edges with one
 /// stamp scan over them.
 ///
 /// Errors follow a first-error-wins rule: `build` reports the earliest
@@ -582,16 +572,11 @@ impl PortGraphBuilder {
         for v in 0..n {
             offsets[v + 1] += offsets[v];
         }
-        let arcs = 2 * self.edges.len();
         let mut cursor = offsets[..n].to_vec();
-        let mut adj = vec![0u32; arcs];
-        let mut back = vec![0u32; arcs];
+        let mut adj = vec![0u32; 2 * self.edges.len()];
         for &(u, v) in &self.edges {
-            let (pu, pv) = (cursor[u as usize], cursor[v as usize]);
-            adj[pu as usize] = v;
-            adj[pv as usize] = u;
-            back[pu as usize] = pv - offsets[v as usize];
-            back[pv as usize] = pu - offsets[u as usize];
+            adj[cursor[u as usize] as usize] = v;
+            adj[cursor[v as usize] as usize] = u;
             cursor[u as usize] += 1;
             cursor[v as usize] += 1;
         }
@@ -607,7 +592,6 @@ impl PortGraphBuilder {
         Ok(PortGraph {
             offsets,
             adj,
-            back,
             edge_count: self.edges.len(),
         })
     }

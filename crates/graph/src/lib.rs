@@ -9,8 +9,9 @@
 //! `{(v,u), (u,v) : {v,u} ∈ E}`. Each node `v` fixes a *cyclic order*
 //! `ρ_v` of its outgoing arcs; the position of an arc in this order is its
 //! *port number*. [`PortGraph`] captures exactly this structure: adjacency
-//! lists whose index *is* the port number, together with the reverse-port
-//! table needed to know through which port an agent *enters* a node.
+//! lists whose index *is* the port number. The port through which an agent
+//! *enters* a node is looked up in that node's list
+//! ([`PortGraph::entry_port`]), not stored.
 //!
 //! The crate additionally provides:
 //!

@@ -170,7 +170,8 @@ fn family_cases(n: usize) -> Vec<FamilyCase> {
 
 #[test]
 fn every_deterministic_family_matches_the_reference() {
-    for n in [2, 3, 4, 7, 16, 33, 64, 100] {
+    // 255 and 256 reach the sizes the benchmarks build `complete` at.
+    for n in [2, 3, 4, 7, 16, 33, 64, 100, 255, 256] {
         for (name, size, edges, g) in family_cases(n) {
             let want = assert_equivalent(size, &edges).expect("families are valid");
             assert_eq!(g, want, "{name} at n = {n}");
@@ -194,7 +195,12 @@ fn random_regular_matches_the_reference() {
             }
         }
     }
-    for (n, d, seed) in [(8, 3, 1), (24, 3, 5), (64, 4, 7), (256, 4, 11)] {
+    let small = [(8, 3, 1), (24, 3, 5), (64, 4, 7)];
+    // (256, 4) and (1024, 4) are the benchmarks' sizes.
+    let large = [256, 1024]
+        .into_iter()
+        .flat_map(|n| (11..15).map(move |seed| (n, 4, seed)));
+    for (n, d, seed) in small.into_iter().chain(large) {
         assert_eq!(builders::random_regular(n, d, seed), reference(n, d, seed));
     }
 }
