@@ -98,7 +98,7 @@ fn measure_segmented_curve(n: usize, k: usize, rounds: u64, reps: usize) -> Vec<
 
 /// Rounds/sec of the torus backends on a worst-case cell (all agents on
 /// one node, pointers toward it), one value per entry of [`SEGMENTS`]:
-/// `P = 1` is the fully instrumented serial [`Engine`] on the same torus;
+/// `P = 1` is the serial [`Engine`] on the same torus;
 /// `P ≥ 2` runs the lean row-banded [`SegmentedTorus`]. Best-of-`reps`
 /// round-robin, as in [`measure_segmented_curve`].
 fn measure_torus_curve(rows: usize, cols: usize, k: usize, rounds: u64, reps: usize) -> Vec<f64> {

@@ -32,17 +32,17 @@
 //! ## What batching does **not** cover
 //!
 //! Delayed deployments (§2.1) hold agents back with a per-node schedule
-//! ([`RingRouter::step_delayed`](crate::RingRouter::step_delayed)); the batch engine has no delayed step,
-//! so the sweep driver keeps delayed cells on the serial path. Likewise
-//! observer/probe attachment ([`crate::CoverProcess::run_observed`] /
-//! [`run_probed`](crate::CoverProcess::run_probed)) is a single-process
-//! surface: a batched sweep falls back to a *single-lane* batch for
-//! observed cells, which this module exposes by implementing
-//! [`CoverProcess`] for width-1 batches only.
+//! ([`RingRouter::step_delayed`](crate::RingRouter::step_delayed)); the
+//! batch engine has no delayed step, so the sweep driver keeps delayed
+//! cells on the serial path. A batch is not a
+//! [`CoverProcess`](crate::CoverProcess) either: its lanes are read
+//! through the per-lane accessors, and its one instrument is the native
+//! §2.2 sampling of
+//! [`run_until_covered_sampled`](BatchRing::run_until_covered_sampled).
+//! Observers and probes attach to [`RingRouter`](crate::RingRouter).
 
 use crate::domains::{DomainSample, DomainStats};
 use crate::init::CW;
-use crate::process::CoverProcess;
 use crate::ring::RingState;
 
 /// Environment variable overriding the batch width used by batched sweeps
@@ -181,13 +181,15 @@ impl BatchRing {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 3`, `lanes` is empty, or any lane violates the
-    /// [`RingRouter::new`](crate::RingRouter::new) preconditions (empty starts, wrong direction
-    /// vector length, out-of-range start, direction not 0/1).
+    /// Panics if `n < 3` or `n > u32::MAX`, `lanes` is empty, or any lane
+    /// violates the [`RingRouter::new`](crate::RingRouter::new)
+    /// preconditions (empty starts, wrong direction vector length,
+    /// out-of-range start, direction not 0/1).
     pub fn new(n: usize, lanes: &[LaneSpec]) -> Self {
+        let n32 = u32::try_from(n)
+            .expect("a ring of more than u32::MAX nodes would wrap the u32 node index");
         assert!(n >= 3, "batch ring needs n >= 3");
         assert!(!lanes.is_empty(), "need at least one lane");
-        let n32 = n as u32;
         let width = lanes.len();
         let words = n.div_ceil(64);
         let cap = lanes
@@ -255,13 +257,6 @@ impl BatchRing {
             batch.borders[l] = stats.borders;
         }
         batch
-    }
-
-    /// A single-lane batch — the serial view used when an observer or
-    /// probe must attach (batched sweeps fall back to this for observed
-    /// cells); it is also the only shape the [`CoverProcess`] impl serves.
-    pub fn single(n: usize, starts: &[u32], dirs: &[u8]) -> Self {
-        Self::new(n, &[LaneSpec { starts, dirs }])
     }
 
     /// Ring size `n` (shared by every lane).
@@ -524,7 +519,7 @@ impl BatchRing {
     /// sampling: each lane records a [`DomainSample`] at round 0, at every
     /// `stride`-multiple round, and at its cover round — exactly the
     /// rounds a serial [`crate::domains::DomainSampler::every`]`(stride)`
-    /// attached through [`CoverProcess::run_observed`] records, so the
+    /// attached through [`crate::CoverProcess::run_observed`] records, so the
     /// returned per-lane sample vectors are bit-identical to the serial
     /// observed run.
     ///
@@ -573,67 +568,21 @@ impl BatchRing {
             borders: self.borders[l],
         }
     }
+}
 
-    #[inline]
-    fn assert_single(&self) {
-        assert_eq!(
-            self.width, 1,
-            "the CoverProcess surface of BatchRing is the single-lane \
-             (fallback-to-serial) view; use the lane accessors on wider batches"
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "more than u32::MAX nodes")]
+    fn more_than_u32_max_nodes_panics_before_allocating() {
+        BatchRing::new(
+            u32::MAX as usize + 1,
+            &[LaneSpec {
+                starts: &[0],
+                dirs: &[],
+            }],
         );
-    }
-}
-
-/// The single-lane serial view: a width-1 batch is a full
-/// [`CoverProcess`], which is how batched sweeps attach observers and
-/// probes (the fallback-to-serial contract — wider batches panic here).
-/// Unlike the batch drive loops, [`step`](CoverProcess::step) advances
-/// past cover, matching the serial engine so return-time probes work.
-impl CoverProcess for BatchRing {
-    fn kind_name(&self) -> &'static str {
-        "rotor_ring_batch"
-    }
-
-    fn node_count(&self) -> usize {
-        self.n as usize
-    }
-
-    fn round(&self) -> u64 {
-        self.assert_single();
-        self.rounds[0]
-    }
-
-    fn step(&mut self) {
-        self.assert_single();
-        self.step_lane(0);
-    }
-
-    fn cover_round(&self) -> Option<u64> {
-        self.assert_single();
-        self.cover_rounds[0]
-    }
-
-    fn visited_count(&self) -> usize {
-        self.assert_single();
-        self.lane_visited_count(0)
-    }
-
-    fn is_node_visited(&self, node: usize) -> bool {
-        self.assert_single();
-        self.lane_is_visited(0, node as u32)
-    }
-
-    fn domain_stats(&self) -> DomainStats {
-        self.assert_single();
-        self.lane_domain_stats(0)
-    }
-}
-
-impl crate::limit::ConfigSnapshot for BatchRing {
-    type Config = RingState;
-
-    fn config(&self) -> RingState {
-        self.assert_single();
-        self.lane_state(0)
     }
 }

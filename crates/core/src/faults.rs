@@ -165,7 +165,10 @@ impl FaultPlan {
 /// cover predicate can be restarted — the surface the fault-injection
 /// layer needs from a backend.
 ///
-/// Both rotor engines implement every hook; the random-walk baseline
+/// The three rotor backends — [`Engine`](crate::Engine),
+/// [`RingRouter`](crate::RingRouter) and
+/// [`SegmentedTorus`](crate::SegmentedTorus) — implement every hook; the
+/// random-walk baseline
 /// implements removal and epoch reset but has no pointers to corrupt
 /// (a documented no-op), so recovery experiments can still run the walk
 /// as a comparison column for crash faults.

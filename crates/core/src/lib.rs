@@ -17,10 +17,9 @@
 //! ## What this crate provides
 //!
 //! * [`Engine`] — a reference implementation on arbitrary
-//!   [`PortGraph`]s, tracking visit counts `n_v(t)`, exit counts `e_v(t)`
-//!   and per-arc traversal counts (the identity
-//!   `traversals(v→u) = ⌈(e_v − port_v(u)) / deg(v)⌉` is exposed and
-//!   tested).
+//!   [`PortGraph`]s: pointers, agent counts, the occupied-node list and
+//!   the cover predicate, stepped per node rather than per agent and
+//!   pinned to a per-agent reference stepper by the property tests.
 //! * [`RingRouter`] — the ring-specialised engine (pointer = direction
 //!   bit, `O(k)` per round) used by the large parameter sweeps: one
 //!   segment kernel, run on the whole ring by [`RingRouter::new`].
@@ -36,7 +35,8 @@
 //! * [`BatchRing`] — the dual, *across-cell* cut: `W` independent
 //!   same-shape ring cells advanced in lockstep in one cell-major SoA
 //!   arena (`ROTOR_BATCH` selects `W`), each lane bit-identical to a
-//!   serial [`RingRouter`] run.
+//!   serial [`RingRouter`] run and read through per-lane accessors (a
+//!   batch is not a [`CoverProcess`]).
 //! * [`init`] — the pointer initialisations the paper's theorems use:
 //!   *negative* (toward the nearest agent — every first visit reflects),
 //!   *positive* (away), uniform, random and custom adversarial.
@@ -46,8 +46,9 @@
 //!   for the slow-down lemma (Lemma 3).
 //! * [`faults`] — fault injection: deterministic disturbance schedules
 //!   ([`faults::FaultPlan`]) over pointer corruption, agent crashes,
-//!   stalls and edge churn, plus the [`faults::Perturb`] hooks both
-//!   engines implement so recovery is measurable on any backend.
+//!   stalls and edge churn, plus the [`faults::Perturb`] hooks that
+//!   [`Engine`], [`RingRouter`] and [`SegmentedTorus`] implement so
+//!   recovery is measurable on every rotor backend the sweeps drive.
 //! * [`domains`] — agent domains, lazy domains, propagation/reflection
 //!   visit types and vertex-/edge-type borders (§2.2, Fig. 1).
 //! * [`limit`] — Brent cycle detection on the configuration sequence and
@@ -55,9 +56,10 @@
 //! * [`lockin`] — single-agent Eulerian lock-in certification (the
 //!   Yanovski et al. baseline behaviour).
 //! * [`CoverProcess`] — the common trait over synchronous exploration
-//!   processes (both engines here plus the random-walk baseline of
-//!   `rotor-walks`) that the `rotor-sweep` sharded driver is generic over,
-//!   with a per-round [`Observer`] hook
+//!   processes ([`Engine`], [`RingRouter`] and [`SegmentedTorus`] here,
+//!   plus the random-walk baseline of `rotor-walks`) that the
+//!   `rotor-sweep` sharded driver is generic over, with a per-round
+//!   [`Observer`] hook
 //!   ([`run_observed`](CoverProcess::run_observed)) for attaching samplers
 //!   to any backend's drive loop.
 //! * [`rng`] — splitmix64 seed derivation and the named random-stream

@@ -113,8 +113,9 @@ where
 /// A [`CoverProcess`] whose full mutable configuration can be snapshotted
 /// for equality testing — the surface the cycle probes need. Equal
 /// configurations must imply identical futures (the rotor-router is
-/// deterministic, so both engines qualify; the random-walk baseline does
-/// not and deliberately has no impl).
+/// deterministic, so [`Engine`], [`RingRouter`] and
+/// [`SegmentedTorus`](crate::SegmentedTorus) qualify; the random-walk
+/// baseline does not and deliberately has no impl).
 pub trait ConfigSnapshot: CoverProcess {
     /// Snapshot type; equality certifies equal configurations.
     type Config: Clone + PartialEq;

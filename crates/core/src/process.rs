@@ -10,8 +10,9 @@
 //! that surface, so the sharded sweep driver in `rotor-sweep` can fan
 //! (n, k, seed) cells across threads without caring whether a cell is
 //! backed by the general-graph [`Engine`](crate::Engine), the
-//! ring-specialised [`RingRouter`](crate::RingRouter), or the `k`
-//! independent random walkers of `rotor-walks`.
+//! ring-specialised [`RingRouter`](crate::RingRouter), the banded
+//! [`SegmentedTorus`](crate::SegmentedTorus), or the `k` independent
+//! random walkers of `rotor-walks`.
 
 /// A per-round probe attached to a [`CoverProcess`] drive loop.
 ///
@@ -62,9 +63,13 @@ pub trait Probe<P: CoverProcess + ?Sized>: Observer<P> {
 /// A synchronous process on a finite node set that eventually visits every
 /// node.
 ///
-/// Implementors: [`Engine`](crate::Engine), [`RingRouter`](crate::RingRouter)
-/// (both deterministic rotor-routers) and `rotor_walks::ParallelWalk`
-/// (`k` independent seeded random walkers).
+/// Implementors: [`Engine`](crate::Engine),
+/// [`RingRouter`](crate::RingRouter) (which is also
+/// [`SegmentedRing`](crate::SegmentedRing)) and
+/// [`SegmentedTorus`](crate::SegmentedTorus) (the deterministic
+/// rotor-routers), and `rotor_walks::ParallelWalk` (`k` independent seeded
+/// random walkers). [`BatchRing`](crate::BatchRing) is not one: it runs
+/// many cells and is read through its per-lane accessors.
 ///
 /// ```
 /// use rotor_core::{init::PointerInit, placement::Placement, CoverProcess, RingRouter};

@@ -38,11 +38,10 @@
 //! ## Why the banded path is also *faster* per core
 //!
 //! The band keeps exactly the state the acceptance surface needs (covers,
-//! §2.2 domain scans, configuration snapshots) and drops the per-arrival
-//! `visits[]` / `exits[]` / per-arc traversal bookkeeping the reference
-//! [`Engine`](crate::Engine) maintains for the §1.3 arc identity; bands
-//! that are fully covered compile visit tracking out of both round phases
-//! (a const-generic `TRACK` switch, like the segmented ring's merge); and
+//! §2.2 domain scans, configuration snapshots), like the reference
+//! [`Engine`](crate::Engine); bands that are fully covered compile visit
+//! tracking out of both round phases (a const-generic `TRACK` switch,
+//! like the segmented ring's merge); and
 //! the per-node neighbour table is a flat `4 × len` copy of the torus
 //! CSR, so the departure loop runs on a fixed degree of 4 with no
 //! offset-array indirection.

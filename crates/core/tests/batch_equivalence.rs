@@ -3,10 +3,10 @@
 //!
 //! The batch width must be a pure throughput parameter: for every lane
 //! `(n, k, seed, placement, init)` at every width `W`, the per-round
-//! [`RingState`] sequence, the cover round, the §2.2 domain statistics and
-//! the Brent `(μ, λ)` cycle structure of the single-lane view must all
-//! equal those of [`RingReference`], which moves one agent at a time and
-//! takes its §2.2 stats from the `O(n)` scan. These tests sweep random
+//! [`RingState`] sequence, the cover round, the visited count, the §2.2
+//! domain statistics and the natively sampled §2.2 trace must all equal
+//! those of [`RingReference`], which moves one agent at a time and takes
+//! its §2.2 stats from the `O(n)` scan. These tests sweep random
 //! mixed-shape batches across `W ∈ {1, 2, 3, 7, 64}` — including the
 //! isolation edge case the arena layout has to get right: one lane
 //! covering mid-batch (and freezing) must not perturb any neighbouring
@@ -23,7 +23,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rotor_core::domains::{scan_domain_stats, DomainSampler};
 use rotor_core::init::PointerInit;
-use rotor_core::limit::{probe_cycle, ConfigSnapshot};
+use rotor_core::limit::ConfigSnapshot;
 use rotor_core::placement::Placement;
 use rotor_core::{BatchRing, CoverProcess, LaneSpec};
 
@@ -172,7 +172,13 @@ fn budget_exhaustion_matches_serial() {
     let budget = 50u64;
     let mut reference = RingReference::new(n, &starts, &dirs);
     assert_eq!(reference.run_until_covered(budget), None, "must time out");
-    let mut batch = BatchRing::single(n, &starts, &dirs);
+    let mut batch = BatchRing::new(
+        n,
+        &[LaneSpec {
+            starts: &starts,
+            dirs: &dirs,
+        }],
+    );
     batch.run_until_covered(budget);
     assert_eq!(batch.lane_cover_round(0), None);
     assert_eq!(batch.lane_round(0), reference.round());
@@ -215,25 +221,8 @@ fn sampled_run_matches_serial_domain_sampler() {
     }
 }
 
-/// Probing: Brent `(μ, λ)` through the single-lane [`CoverProcess`] view
-/// (the `run_probed` fallback-to-serial surface) equals the reference's
-/// cycle structure.
-#[test]
-fn single_lane_probe_cycle_matches_serial() {
-    let mut rng = SmallRng::seed_from_u64(0xC1C1);
-    for _case in 0..10 {
-        let n = rng.gen_range(3..16usize);
-        let k = rng.gen_range(1..4usize);
-        let starts: Vec<u32> = (0..k).map(|_| rng.gen_range(0..n as u32)).collect();
-        let dirs = PointerInit::TowardNearestAgent.ring_directions(n, &starts);
-        let want = probe_cycle(|| RingReference::new(n, &starts, &dirs), 200_000);
-        let single = probe_cycle(|| BatchRing::single(n, &starts, &dirs), 200_000);
-        assert_eq!(want, single, "(μ, λ) drift: n={n} k={k}");
-    }
-}
-
-/// The single-lane view's observed run (the exact path batched sweeps use
-/// for observer-attached cells) matches the reference sample for sample.
+/// A one-lane batch's native sampled run matches the reference's run
+/// with an attached [`DomainSampler`], sample for sample.
 #[test]
 fn single_lane_observed_run_matches_serial() {
     let n = 48usize;
@@ -245,13 +234,17 @@ fn single_lane_observed_run_matches_serial() {
     let mut reference_sampler = DomainSampler::every(2);
     let want = reference.run_observed(budget, &mut reference_sampler);
 
-    let mut single = BatchRing::single(n, &starts, &dirs);
-    let mut single_sampler = DomainSampler::every(2);
-    let got = single.run_observed(budget, &mut single_sampler);
+    let mut single = BatchRing::new(
+        n,
+        &[LaneSpec {
+            starts: &starts,
+            dirs: &dirs,
+        }],
+    );
+    let samples = single.run_until_covered_sampled(budget, 2);
 
-    assert_eq!(want, got, "cover drift through the observed run");
-    assert_eq!(reference_sampler.samples, single_sampler.samples);
-    assert_eq!(CoverProcess::kind_name(&single), "rotor_ring_batch");
+    assert_eq!(want, single.lane_cover_round(0), "cover drift");
+    assert_eq!(reference_sampler.samples, samples[0]);
 }
 
 /// The `ROTOR_BATCH` parser falls back to one cell per batch on anything

@@ -1,17 +1,11 @@
 //! Property tests pinning the batched hot path to the model's definition.
 //!
 //! The engine releases the `c` agents at a node with O(min(c, deg))
-//! arithmetic per node and keeps its per-arc counters in one flat CSR
-//! arena; the paper's model (§1.3) is stated per agent. These tests check,
-//! across ≥ 100 random (graph, placement, pointer-init) triples and ≥ 1000
-//! rounds each, that
-//!
-//! 1. the batched [`Engine::step`] produces **bit-identical**
-//!    [`EngineState`] sequences to a naive per-agent reference stepper, and
-//! 2. the arc-traversal identity
-//!    `traversals(v →_p u) = ⌈(e_v − label_v(p)) / deg v⌉` survives the CSR
-//!    flattening,
-//!
+//! arithmetic per node; the paper's model (§1.3) is stated per agent.
+//! These tests check, across ≥ 100 random (graph, placement, pointer-init)
+//! triples and ≥ 1000 rounds each, that the batched [`Engine::step`]
+//! produces **bit-identical** [`EngineState`] sequences and the same
+//! visited set and cover round as a naive per-agent reference stepper,
 //! and additionally that the ring-specialised merge stepper matches the
 //! general engine on random rings.
 
@@ -29,6 +23,10 @@ struct PerAgentReference<'g> {
     g: &'g PortGraph,
     pointers: Vec<u32>,
     agents: Vec<u32>,
+    /// Nodes that have held an agent, initial placements included.
+    visited: Vec<bool>,
+    round: u64,
+    cover_round: Option<u64>,
 }
 
 impl<'g> PerAgentReference<'g> {
@@ -37,10 +35,14 @@ impl<'g> PerAgentReference<'g> {
         for a in agents {
             count[a.index()] += 1;
         }
+        let visited: Vec<bool> = count.iter().map(|&c| c > 0).collect();
         PerAgentReference {
             g,
             pointers: pointers.to_vec(),
+            cover_round: visited.iter().all(|&v| v).then_some(0),
             agents: count,
+            visited,
+            round: 0,
         }
     }
 
@@ -49,6 +51,7 @@ impl<'g> PerAgentReference<'g> {
     }
 
     fn step_delayed(&mut self, mut delay: impl FnMut(u32, u32) -> u32) {
+        self.round += 1;
         let departing = std::mem::replace(&mut self.agents, vec![0; self.g.node_count()]);
         for (v, c) in departing.into_iter().enumerate() {
             let node = NodeId::new(v as u32);
@@ -61,7 +64,11 @@ impl<'g> PerAgentReference<'g> {
                 self.pointers[v] = (p + 1) % deg;
                 let dest = self.g.neighbor(node, p as usize);
                 self.agents[dest.index()] += 1;
+                self.visited[dest.index()] = true;
             }
+        }
+        if self.cover_round.is_none() && self.visited.iter().all(|&v| v) {
+            self.cover_round = Some(self.round);
         }
     }
 
@@ -70,6 +77,29 @@ impl<'g> PerAgentReference<'g> {
             pointers: self.pointers.clone(),
             agents: self.agents.clone(),
         }
+    }
+}
+
+/// Asserts that `engine`'s cover bookkeeping — cover round, unvisited
+/// count and the visited bit of every node — equals the reference's.
+fn assert_same_cover(engine: &Engine, reference: &PerAgentReference, case: usize, t: u64) {
+    assert_eq!(
+        engine.cover_round(),
+        reference.cover_round,
+        "case {case} round {t}: cover round"
+    );
+    let unvisited = reference.visited.iter().filter(|&&v| !v).count();
+    assert_eq!(
+        engine.unvisited_count(),
+        unvisited,
+        "case {case} round {t}: unvisited count"
+    );
+    for v in engine.graph().nodes() {
+        assert_eq!(
+            engine.is_visited(v),
+            reference.visited[v.index()],
+            "case {case} round {t}: visited bit of {v:?}"
+        );
     }
 }
 
@@ -123,6 +153,7 @@ fn batched_engine_bit_identical_to_per_agent_reference() {
         let mut batched = Engine::with_pointers(&g, &agents, pointers.clone());
         let mut reference = PerAgentReference::new(&g, &agents, &pointers);
         assert_eq!(batched.state(), reference.state(), "case {case}: round 0");
+        assert_same_cover(&batched, &reference, case, 0);
         for t in 1..=ROUNDS {
             batched.step();
             reference.step();
@@ -132,29 +163,7 @@ fn batched_engine_bit_identical_to_per_agent_reference() {
                 "case {case} ({g:?}, k={}, {init:?}): diverged at round {t}",
                 agents.len(),
             );
-        }
-    }
-}
-
-#[test]
-fn arc_identity_survives_csr_flattening() {
-    const TRIPLES: usize = 102;
-    let mut rng = SmallRng::seed_from_u64(0xC5A0);
-    for case in 0..TRIPLES {
-        let g = graph_for(case, &mut rng);
-        let agents = placement_for(&g, &mut rng);
-        let mut e = Engine::new(&g, &agents, &init_for(case));
-        for t in 0..200u64 {
-            assert!(
-                e.arc_identity_holds(),
-                "case {case} ({g:?}): identity broken at round {t}"
-            );
-            e.step();
-        }
-        // spot-check the identity's terms directly against the accessors
-        for v in g.nodes() {
-            let total: u64 = (0..g.degree(v)).map(|p| e.arc_traversals(v, p)).sum();
-            assert_eq!(total, e.exits(v), "case {case}: exits split over ports");
+            assert_same_cover(&batched, &reference, case, t);
         }
     }
 }
@@ -218,7 +227,7 @@ fn delayed_batched_step_matches_per_agent_semantics() {
             delayed.step_delayed(hold);
             reference.step_delayed(hold);
             assert_eq!(delayed.state(), reference.state(), "case {case} round {t}");
-            assert!(delayed.arc_identity_holds(), "case {case} round {t}");
+            assert_same_cover(&delayed, &reference, case, t);
         }
     }
 }

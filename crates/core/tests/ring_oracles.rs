@@ -85,7 +85,13 @@ fn check_family(family: &str, instances: impl Fn(usize) -> Vec<Oracle>) {
                 let got = seg.run_until_covered(budget);
                 assert_eq!(got, Some(o.cover), "{ctx} P={p}");
             }
-            let mut single = BatchRing::single(n, &o.starts, &o.dirs);
+            let mut single = BatchRing::new(
+                n,
+                &[LaneSpec {
+                    starts: &o.starts,
+                    dirs: &o.dirs,
+                }],
+            );
             single.run_until_covered(budget);
             assert_eq!(single.lane_cover_round(0), Some(o.cover), "{ctx} W=1");
         }

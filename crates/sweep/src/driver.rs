@@ -82,16 +82,9 @@ pub fn split_budget_for(
 /// parameter and is never clamped; only the number of OS threads driving
 /// those segments is budgeted here.
 pub fn thread_plan() -> (usize, usize) {
-    let shards = thread_count();
-    let budget = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .max(shards);
-    split_budget(
-        budget,
-        shards,
-        rotor_core::segring::segment_count_from_env(),
-    )
+    // No unit cap: shards are capped at `units`, and the budget is far
+    // below `usize::MAX`.
+    thread_plan_for(usize::MAX)
 }
 
 /// [`thread_plan`] capped by the number of work units the caller actually

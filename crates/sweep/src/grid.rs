@@ -1,41 +1,36 @@
-//! The legacy ring-only sweep lattice: grids of (n, k, seed, placement,
-//! pointer-init) with deterministic per-cell seed derivation.
+//! Placement and pointer-init specs: the seed-bearing strategies every
+//! [`Scenario`](crate::scenario::Scenario) resolves against its own seed.
 //!
-//! **Migration note:** [`Cell`]/[`SweepGrid`] predate the scenario layer
-//! and are hard-wired to the ring. New experiments should use
-//! [`Scenario`](crate::scenario::Scenario) /
-//! [`ScenarioGrid`](crate::scenario::ScenarioGrid), which add the graph-
-//! family axis; a single-family `Ring` scenario grid enumerates the exact
-//! same seeds as the equivalent `SweepGrid` (pinned by tests), so results
-//! are bit-identical across the migration. This module stays as the thin
-//! compatibility surface those pins compare against.
-//!
-//! Reproducibility rule: a cell's measurement may depend only on the
-//! cell's own fields — never on which thread ran it or in which order. All
-//! randomness (random placements, random pointer inits, random-walk
-//! trajectories) is derived from [`Cell::seed`], which is a splitmix64
-//! hash of the grid's `base_seed` and the cell's position in the
-//! enumeration, so re-running any subset of a grid reproduces exactly.
+//! Reproducibility rule: a scenario's measurement may depend only on the
+//! scenario's own fields — never on which thread ran it or in which
+//! order. All randomness (random placements, random pointer inits,
+//! random-walk trajectories) is derived from
+//! [`Scenario::seed`](crate::scenario::Scenario::seed), which
+//! [`ScenarioGrid::scenarios`](crate::scenario::ScenarioGrid::scenarios)
+//! derives as a splitmix64 hash of the grid's `base_seed` and the
+//! scenario's position in the enumeration, so re-running any subset of a
+//! grid reproduces exactly. The tests below pin that derivation on the
+//! ring lattice.
 
 use rotor_core::init::PointerInit;
 use rotor_core::placement::Placement;
-pub use rotor_core::rng::splitmix64;
 use rotor_core::rng::{stream, STREAM_POINTER_INIT};
 
-/// Agent placement strategy for a cell (the seed-bearing variants draw
-/// from the cell seed, unlike [`Placement`] which carries its own).
+/// Agent placement strategy for a scenario (the seed-bearing variants
+/// draw from the scenario seed, unlike [`Placement`] which carries its
+/// own).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PlacementSpec {
     /// All agents on node 0 — the worst case of Theorems 1–2.
     AllOnOne,
     /// Agents equally spaced — the best case of Theorems 3–4.
     EquallySpaced,
-    /// Independent uniformly random nodes, from the cell seed.
+    /// Independent uniformly random nodes, from the scenario seed.
     Random,
 }
 
 impl PlacementSpec {
-    /// The concrete [`Placement`] for a cell with the given seed.
+    /// The concrete [`Placement`] for a scenario with the given seed.
     pub fn placement(self, cell_seed: u64) -> Placement {
         match self {
             PlacementSpec::AllOnOne => Placement::AllOnOne(0),
@@ -45,7 +40,7 @@ impl PlacementSpec {
     }
 }
 
-/// Pointer initialisation strategy for a cell.
+/// Pointer initialisation strategy for a scenario.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum InitSpec {
     /// Negative initialisation (pointers toward the nearest agent).
@@ -54,13 +49,13 @@ pub enum InitSpec {
     AwayFromNearestAgent,
     /// All pointers at the same port.
     Uniform(usize),
-    /// Independent random pointers, from the cell seed (domain-separated
-    /// from the placement's stream).
+    /// Independent random pointers, from the scenario seed
+    /// (domain-separated from the placement's stream).
     Random,
 }
 
 impl InitSpec {
-    /// The concrete [`PointerInit`] for a cell with the given seed.
+    /// The concrete [`PointerInit`] for a scenario with the given seed.
     pub fn pointer_init(self, cell_seed: u64) -> PointerInit {
         match self {
             InitSpec::TowardNearestAgent => PointerInit::TowardNearestAgent,
@@ -72,94 +67,15 @@ impl InitSpec {
     }
 }
 
-/// A rectangular sweep grid: the cartesian product
-/// `ns × ks × (0..seed_count)` under one placement and one pointer-init
-/// spec.
-#[derive(Clone, Debug)]
-pub struct SweepGrid {
-    /// Ring sizes to sweep.
-    pub ns: Vec<usize>,
-    /// Agent counts to sweep.
-    pub ks: Vec<usize>,
-    /// Number of independent repetitions per (n, k) point.
-    pub seed_count: usize,
-    /// Base seed every cell seed is derived from.
-    pub base_seed: u64,
-    /// Agent placement strategy.
-    pub placement: PlacementSpec,
-    /// Pointer initialisation strategy.
-    pub init: InitSpec,
-}
-
-impl SweepGrid {
-    /// Enumerates the grid's cells in deterministic order (`n` major, then
-    /// `k`, then seed index), each with its derived seed.
-    pub fn cells(&self) -> Vec<Cell> {
-        let mut out = Vec::with_capacity(self.ns.len() * self.ks.len() * self.seed_count);
-        // Mix the base seed through splitmix *before* combining with the
-        // index: `splitmix64(base + index)` would make grids with nearby
-        // base seeds share shifted-identical seed streams (base 100's
-        // cell i == base 99's cell i+1).
-        let mixed_base = splitmix64(self.base_seed);
-        for &n in &self.ns {
-            for &k in &self.ks {
-                for seed_index in 0..self.seed_count {
-                    let index = out.len() as u64;
-                    out.push(Cell {
-                        n,
-                        k,
-                        seed_index,
-                        seed: splitmix64(mixed_base ^ index),
-                        placement: self.placement,
-                        init: self.init,
-                    });
-                }
-            }
-        }
-        out
-    }
-}
-
-/// One point of a [`SweepGrid`]: everything a runner needs to measure one
-/// sample, independent of every other cell.
-#[derive(Clone, Copy, Debug)]
-pub struct Cell {
-    /// Ring size.
-    pub n: usize,
-    /// Agent / walker count.
-    pub k: usize,
-    /// Repetition index within the (n, k) point.
-    pub seed_index: usize,
-    /// Derived cell seed (splitmix64 of base seed and cell index).
-    pub seed: u64,
-    /// Placement strategy.
-    pub placement: PlacementSpec,
-    /// Pointer-init strategy.
-    pub init: InitSpec,
-}
-
-impl Cell {
-    /// The sorted starting positions of this cell's agents.
-    pub fn positions(&self) -> Vec<u32> {
-        self.placement
-            .placement(self.seed)
-            .positions(self.n, self.k)
-    }
-
-    /// The initial ring direction bits for this cell, given its positions.
-    pub fn ring_directions(&self, positions: &[u32]) -> Vec<u8> {
-        self.init
-            .pointer_init(self.seed)
-            .ring_directions(self.n, positions)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{GraphFamily, Scenario, ScenarioGrid};
 
-    fn grid() -> SweepGrid {
-        SweepGrid {
+    /// The ring lattice: `ns × ks × (0..seed_count)` on the ring family.
+    fn grid() -> ScenarioGrid {
+        ScenarioGrid {
+            families: vec![GraphFamily::Ring],
             ns: vec![32, 64],
             ks: vec![1, 2, 4],
             seed_count: 3,
@@ -171,7 +87,7 @@ mod tests {
 
     #[test]
     fn enumeration_is_dense_and_ordered() {
-        let cells = grid().cells();
+        let cells = grid().scenarios();
         assert_eq!(cells.len(), 2 * 3 * 3);
         assert_eq!((cells[0].n, cells[0].k, cells[0].seed_index), (32, 1, 0));
         assert_eq!((cells[17].n, cells[17].k, cells[17].seed_index), (64, 4, 2));
@@ -181,8 +97,8 @@ mod tests {
 
     #[test]
     fn cell_seeds_are_distinct_and_reproducible() {
-        let a = grid().cells();
-        let b = grid().cells();
+        let a = grid().scenarios();
+        let b = grid().scenarios();
         let mut seeds: Vec<u64> = a.iter().map(|c| c.seed).collect();
         assert_eq!(seeds, b.iter().map(|c| c.seed).collect::<Vec<_>>());
         seeds.sort_unstable();
@@ -194,8 +110,8 @@ mod tests {
     fn different_base_seeds_give_different_cells() {
         let mut g2 = grid();
         g2.base_seed = 100;
-        let a = grid().cells();
-        let b = g2.cells();
+        let a = grid().scenarios();
+        let b = g2.scenarios();
         assert!(a.iter().zip(&b).all(|(x, y)| x.seed != y.seed));
     }
 
@@ -208,8 +124,8 @@ mod tests {
         g99.base_seed = 99;
         let mut g100 = grid();
         g100.base_seed = 100;
-        let a: Vec<u64> = g99.cells().iter().map(|c| c.seed).collect();
-        let b: Vec<u64> = g100.cells().iter().map(|c| c.seed).collect();
+        let a: Vec<u64> = g99.scenarios().iter().map(|c| c.seed).collect();
+        let b: Vec<u64> = g100.scenarios().iter().map(|c| c.seed).collect();
         for shift in 0..4usize {
             assert!(
                 a.iter().skip(shift).zip(&b).any(|(x, y)| x != y),
@@ -220,7 +136,7 @@ mod tests {
 
     #[test]
     fn positions_and_dirs_are_cell_deterministic() {
-        let cells = grid().cells();
+        let cells = grid().scenarios();
         for c in &cells {
             let p1 = c.positions();
             let p2 = c.positions();
@@ -231,13 +147,14 @@ mod tests {
         }
         // random placements actually vary across seeds (k = 1 cells may
         // coincide by chance; compare a k = 4 pair)
-        let k4: Vec<&Cell> = cells.iter().filter(|c| c.k == 4 && c.n == 64).collect();
+        let k4: Vec<&Scenario> = cells.iter().filter(|c| c.k == 4 && c.n == 64).collect();
         assert_ne!(k4[0].positions(), k4[1].positions());
     }
 
     #[test]
     fn deterministic_specs_ignore_seed() {
-        let mk = |seed| Cell {
+        let mk = |seed| Scenario {
+            family: GraphFamily::Ring,
             n: 64,
             k: 4,
             seed_index: 0,
@@ -248,13 +165,5 @@ mod tests {
         assert_eq!(mk(1).positions(), mk(2).positions());
         let p = mk(1).positions();
         assert_eq!(mk(1).ring_directions(&p), mk(2).ring_directions(&p));
-    }
-
-    #[test]
-    fn splitmix_spreads_consecutive_indices() {
-        let a = splitmix64(7);
-        let b = splitmix64(8);
-        assert_ne!(a, b);
-        assert!(((a ^ b).count_ones()) > 8, "avalanche");
     }
 }

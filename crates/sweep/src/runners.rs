@@ -1,21 +1,17 @@
 //! Per-cell cover-time measurement for every [`CoverProcess`] backend.
 //!
-//! A runner turns one [`Scenario`] (or legacy ring [`Cell`]) into one
-//! [`CoverSample`]; which process backs the measurement is a
-//! [`ProcessKind`] value, so the same sharded sweep produces paired
-//! rotor-router and random-walk curves from one grid — the measurement
-//! the paper's "deterministic alternative to parallel random walks"
-//! framing calls for. Dispatch is over `(GraphFamily, ProcessKind)`:
+//! A runner turns one [`Scenario`] into one [`CoverSample`]; which
+//! process backs the measurement is a [`ProcessKind`] value, so the same
+//! sharded sweep produces paired rotor-router and random-walk curves from
+//! one grid — the measurement the paper's "deterministic alternative to
+//! parallel random walks" framing calls for. Dispatch is over `(GraphFamily, ProcessKind)`:
 //! [`ProcessKind::Rotor`] resolves to the [`RingRouter`] fast path on the
 //! ring family and to the general [`Engine`] everywhere else.
 
-use crate::grid::Cell;
 use crate::scenario::Scenario;
 use rotor_core::limit::{self, CycleInfo};
 use rotor_core::rng::{stream, STREAM_WALK};
-use rotor_core::{
-    BatchRing, CoverProcess, Engine, Observer, RingRouter, SegmentedRing, SegmentedTorus,
-};
+use rotor_core::{CoverProcess, Engine, Observer, RingRouter, SegmentedRing, SegmentedTorus};
 use rotor_graph::{NodeId, PortGraph};
 use rotor_walks::ParallelWalk;
 use std::time::Instant;
@@ -27,9 +23,6 @@ pub enum ProcessKind {
     /// scenario's family is the ring, the general [`Engine`] otherwise.
     /// The right default for every rotor sweep.
     Rotor,
-    /// The ring-specialised rotor-router ([`RingRouter`]) — explicit fast
-    /// path; only valid on the ring.
-    RotorRing,
     /// The segmented-parallel ring backend ([`SegmentedRing`]): the ring
     /// cut into `ROTOR_SEGMENTS` contiguous segments, bit-identical to
     /// [`RingRouter`] at every segment count, with the worker-thread count
@@ -44,15 +37,6 @@ pub enum ProcessKind {
     /// [`thread_plan`](crate::driver::thread_plan) budget like the ring
     /// backend. Only valid on the torus family.
     TorusSegmented,
-    /// The batch-of-cells ring backend ([`BatchRing`]): independent
-    /// same-shape cells advanced in lockstep in one cell-major arena by
-    /// [`run_scenarios_batched`](crate::batch::run_scenarios_batched),
-    /// bit-identical to [`RingRouter`] per lane at every batch width
-    /// (`ROTOR_BATCH` selects the width). Through *this* per-cell runner
-    /// the kind resolves to a single-lane batch — the fallback-to-serial
-    /// path observer- and probe-attached cells always take. Only valid on
-    /// the ring.
-    RotorBatched,
     /// The general-graph rotor-router ([`Engine`]) — on the ring, used to
     /// cross-check the specialised engine at sweep scale.
     RotorGeneral,
@@ -65,10 +49,8 @@ impl ProcessKind {
     pub fn label(&self) -> &'static str {
         match self {
             ProcessKind::Rotor => "rotor",
-            ProcessKind::RotorRing => "rotor_ring",
             ProcessKind::RotorSegmented => "rotor_seg",
             ProcessKind::TorusSegmented => "rotor_torus_seg",
-            ProcessKind::RotorBatched => "rotor_batch",
             ProcessKind::RotorGeneral => "rotor_general",
             ProcessKind::RandomWalk => "walk",
         }
@@ -98,8 +80,9 @@ pub struct CoverSample {
     /// `"rotor_ring_batch"`, `"rotor_general"`, `"rotor_torus_seg"` or
     /// `"walk"` — the resolution of the [`ProcessKind::Rotor`]
     /// auto-dispatch, recorded so reports can carry the backend column.
+    /// `"rotor_ring_batch"` is not a [`CoverProcess`]: it is the label
     /// [`run_scenarios_batched`](crate::batch::run_scenarios_batched)
-    /// labels every ring cell it runs `"rotor_ring_batch"`.
+    /// gives every ring cell it runs on the batch engine.
     pub backend: &'static str,
 }
 
@@ -113,38 +96,19 @@ impl CoverSample {
     }
 }
 
-/// Measures one legacy ring [`Cell`] with the given process, running to
-/// cover or `max_rounds`, whichever comes first.
-///
-/// Thin wrapper over [`run_scenario`] on the ring family; kept so the
-/// pre-scenario call sites (and the bit-identity pins against them) keep
-/// compiling unchanged.
-pub fn run_cover_cell(cell: &Cell, kind: ProcessKind, max_rounds: u64) -> CoverSample {
-    let sc = Scenario {
-        family: crate::scenario::GraphFamily::Ring,
-        n: cell.n,
-        k: cell.k,
-        seed_index: cell.seed_index,
-        seed: cell.seed,
-        placement: cell.placement,
-        init: cell.init,
-    };
-    run_scenario(&sc, kind, max_rounds)
-}
-
 /// Measures one [`Scenario`] with the given process, running to cover or
 /// `max_rounds`, whichever comes first.
 ///
-/// Dispatch keeps the ring fast path: `Rotor` (and `RotorRing`) on the
-/// ring family run the `O(k)`-per-round [`RingRouter`]; everything else
-/// builds the scenario's [`PortGraph`] and runs the general [`Engine`] or
+/// Dispatch keeps the ring fast path: `Rotor` on the ring family runs
+/// the `O(k)`-per-round [`RingRouter`]; everything else builds the
+/// scenario's [`PortGraph`] and runs the general [`Engine`] or
 /// [`ParallelWalk`]. On the ring, pointer initialisation goes through the
 /// direction-bit form for *all* kinds, so general-engine cross-checks see
 /// exactly the specialised engine's initial configuration.
 ///
 /// # Panics
 ///
-/// Panics if `kind` is [`ProcessKind::RotorRing`] and the scenario's
+/// Panics if `kind` is [`ProcessKind::RotorSegmented`] and the scenario's
 /// family is not the ring, or [`ProcessKind::TorusSegmented`] and the
 /// family is not the torus.
 pub fn run_scenario(sc: &Scenario, kind: ProcessKind, max_rounds: u64) -> CoverSample {
@@ -171,9 +135,7 @@ pub fn run_scenario(sc: &Scenario, kind: ProcessKind, max_rounds: u64) -> CoverS
 ///
 /// # Panics
 ///
-/// Panics if `kind` is [`ProcessKind::RotorRing`] and the scenario's
-/// family is not the ring, or [`ProcessKind::TorusSegmented`] and the
-/// family is not the torus.
+/// Panics under the same conditions as [`run_scenario`].
 pub fn run_scenario_observed<O>(
     sc: &Scenario,
     kind: ProcessKind,
@@ -183,14 +145,13 @@ pub fn run_scenario_observed<O>(
 where
     O: Observer<RingRouter>
         + Observer<SegmentedTorus>
-        + Observer<BatchRing>
         + for<'g> Observer<Engine<'g>>
         + for<'g> Observer<ParallelWalk<'g>>,
 {
     let positions = sc.positions();
     let on_ring = sc.family.is_ring();
     match kind {
-        ProcessKind::Rotor | ProcessKind::RotorRing if on_ring => {
+        ProcessKind::Rotor if on_ring => {
             let dirs = sc.ring_directions(&positions);
             let mut p = RingRouter::new(sc.n, &positions, &dirs);
             finish_observed(sc, &mut p, max_rounds, observer)
@@ -202,20 +163,9 @@ where
             let mut p = SegmentedRing::with_workers(sc.n, &positions, &dirs, segments, workers);
             finish_observed(sc, &mut p, max_rounds, observer)
         }
-        ProcessKind::RotorBatched if on_ring => {
-            // The per-cell surface always runs a *single-lane* batch —
-            // observers and probes are single-process instruments, so an
-            // observed batched cell is by construction the serial path
-            // (the fallback-to-serial contract pinned by the
-            // observer-under-batching tests). Whole-grid batching lives in
-            // [`run_scenarios_batched`](crate::batch::run_scenarios_batched).
-            let dirs = sc.ring_directions(&positions);
-            let mut p = BatchRing::single(sc.n, &positions, &dirs);
-            finish_observed(sc, &mut p, max_rounds, observer)
-        }
-        ProcessKind::RotorRing | ProcessKind::RotorSegmented | ProcessKind::RotorBatched => {
+        ProcessKind::RotorSegmented => {
             panic!(
-                "{kind:?} requires the Ring family, got {}",
+                "RotorSegmented requires the Ring family, got {}",
                 sc.family.label()
             )
         }
@@ -322,11 +272,13 @@ fn finish_observed<P: CoverProcess>(
 mod tests {
     use super::*;
     use crate::driver::run_sharded;
-    use crate::grid::{InitSpec, PlacementSpec, SweepGrid};
+    use crate::grid::{InitSpec, PlacementSpec};
     use crate::scenario::{GraphFamily, ScenarioGrid};
 
-    fn grid() -> SweepGrid {
-        SweepGrid {
+    /// The ring lattice `{32, 64} × {1, 2, 4} × 2 seeds`.
+    fn grid() -> ScenarioGrid {
+        ScenarioGrid {
+            families: vec![GraphFamily::Ring],
             ns: vec![32, 64],
             ks: vec![1, 2, 4],
             seed_count: 2,
@@ -338,27 +290,28 @@ mod tests {
 
     #[test]
     fn rotor_ring_matches_general_engine_cell_by_cell() {
-        let cells = grid().cells();
+        let cells = grid().scenarios();
         let fast = run_sharded(&cells, 2, |_, c| {
-            run_cover_cell(c, ProcessKind::RotorRing, 1 << 22)
+            run_scenario(c, ProcessKind::Rotor, 1 << 22)
         });
         let general = run_sharded(&cells, 2, |_, c| {
-            run_cover_cell(c, ProcessKind::RotorGeneral, 1 << 22)
+            run_scenario(c, ProcessKind::RotorGeneral, 1 << 22)
         });
         for (f, g) in fast.iter().zip(&general) {
             assert_eq!(f.cover, g.cover, "n={} k={} seed={}", f.n, f.k, f.seed);
             assert!(f.cover.is_some(), "rotor-router always covers");
+            assert_eq!(f.backend, "rotor_ring");
         }
     }
 
     #[test]
     fn sharding_is_thread_count_invariant() {
-        let cells = grid().cells();
+        let cells = grid().scenarios();
         let one: Vec<Option<u64>> = run_sharded(&cells, 1, |_, c| {
-            run_cover_cell(c, ProcessKind::RandomWalk, 1 << 22).cover
+            run_scenario(c, ProcessKind::RandomWalk, 1 << 22).cover
         });
         let four: Vec<Option<u64>> = run_sharded(&cells, 4, |_, c| {
-            run_cover_cell(c, ProcessKind::RandomWalk, 1 << 22).cover
+            run_scenario(c, ProcessKind::RandomWalk, 1 << 22).cover
         });
         assert_eq!(one, four, "seeded walks are scheduling-independent");
     }
@@ -368,7 +321,8 @@ mod tests {
         use rotor_core::init::PointerInit;
         use rotor_core::placement::Placement;
         use rotor_core::RingRouter;
-        let cell = Cell {
+        let cell = Scenario {
+            family: GraphFamily::Ring,
             n: 128,
             k: 4,
             seed_index: 0,
@@ -376,7 +330,7 @@ mod tests {
             placement: PlacementSpec::AllOnOne,
             init: InitSpec::TowardNearestAgent,
         };
-        let sample = run_cover_cell(&cell, ProcessKind::RotorRing, u64::MAX);
+        let sample = run_scenario(&cell, ProcessKind::Rotor, u64::MAX);
         let starts = Placement::AllOnOne(0).positions(128, 4);
         let dirs = PointerInit::TowardNearestAgent.ring_directions(128, &starts);
         let direct = RingRouter::new(128, &starts, &dirs)
@@ -388,40 +342,42 @@ mod tests {
 
     #[test]
     fn ring_scenarios_are_bit_identical_to_legacy_cells() {
-        // The acceptance pin: the same grid expressed as a ring-family
-        // ScenarioGrid and as a legacy SweepGrid must produce *identical*
-        // samples (cover round, rounds simulated, seed) for every process
-        // kind, cell by cell.
-        let legacy = grid().cells();
-        let scenarios = ScenarioGrid {
-            families: vec![GraphFamily::Ring],
-            ns: vec![32, 64],
-            ks: vec![1, 2, 4],
-            seed_count: 2,
-            base_seed: 7,
-            placement: PlacementSpec::Random,
-            init: InitSpec::Random,
-        }
-        .scenarios();
-        assert_eq!(legacy.len(), scenarios.len());
-        for kind in [
-            ProcessKind::Rotor,
-            ProcessKind::RotorRing,
-            ProcessKind::RotorGeneral,
-            ProcessKind::RandomWalk,
+        // `(seed, rotor cover, walk cover)` per cell of this lattice,
+        // recorded from the ring-only cell lattice and its runner before
+        // they were removed. Every rotor kind covers in the same round on
+        // the ring, and each run stops at its cover round.
+        const LEGACY: [(u64, u64, u64); 12] = [
+            (0xb8b4c2977eabce45, 268, 203),
+            (0x3d41bf495cd3075f, 233, 372),
+            (0x46a6c8e56922a525, 114, 144),
+            (0x6baa78681a99f995, 89, 268),
+            (0x8e6a4e9586d25622, 49, 75),
+            (0x88bf589a5ce00596, 69, 110),
+            (0xf89979d8524d832d, 1090, 1282),
+            (0x3a3bfc2bf948c770, 828, 1695),
+            (0x3aa90b5d1da84494, 442, 1320),
+            (0x845c091421549e4a, 481, 481),
+            (0x7161c94bf7973371, 340, 400),
+            (0xd6a4ec196a4061af, 110, 278),
+        ];
+        let scenarios = grid().scenarios();
+        assert_eq!(scenarios.len(), LEGACY.len());
+        for (kind, column) in [
+            (ProcessKind::Rotor, 1),
+            (ProcessKind::RotorGeneral, 1),
+            (ProcessKind::RandomWalk, 2),
         ] {
-            let old: Vec<CoverSample> =
-                run_sharded(&legacy, 2, |_, c| run_cover_cell(c, kind, 1 << 22));
-            let new: Vec<CoverSample> =
+            let samples: Vec<CoverSample> =
                 run_sharded(&scenarios, 2, |_, s| run_scenario(s, kind, 1 << 22));
-            for (o, n) in old.iter().zip(&new) {
+            for (s, &(seed, rotor, walk)) in samples.iter().zip(&LEGACY) {
+                let cover = if column == 1 { rotor } else { walk };
                 assert_eq!(
-                    (o.cover, o.rounds, o.seed),
-                    (n.cover, n.rounds, n.seed),
+                    (s.seed, s.cover, s.rounds),
+                    (seed, Some(cover), cover),
                     "{kind:?} diverged at n={} k={} seed={}",
-                    o.n,
-                    o.k,
-                    o.seed
+                    s.n,
+                    s.k,
+                    s.seed
                 );
             }
         }
@@ -507,9 +463,11 @@ mod tests {
         .scenarios();
         for sc in &scenarios {
             let auto = run_scenario(sc, ProcessKind::Rotor, 1 << 22);
-            let explicit = run_scenario(sc, ProcessKind::RotorRing, 1 << 22);
+            let positions = sc.positions();
+            let dirs = sc.ring_directions(&positions);
+            let explicit = RingRouter::new(sc.n, &positions, &dirs).run_until_covered(1 << 22);
             let general = run_scenario(sc, ProcessKind::RotorGeneral, 1 << 22);
-            assert_eq!(auto.cover, explicit.cover);
+            assert_eq!(auto.cover, explicit);
             assert_eq!(auto.cover, general.cover, "fast path == general engine");
         }
     }
@@ -587,21 +545,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "RotorRing requires the Ring family")]
-    fn rotor_ring_on_non_ring_panics() {
-        let sc = Scenario {
-            family: GraphFamily::Complete,
-            n: 8,
-            k: 1,
-            seed_index: 0,
-            seed: 1,
-            placement: PlacementSpec::AllOnOne,
-            init: InitSpec::Uniform(0),
-        };
-        run_scenario(&sc, ProcessKind::RotorRing, 100);
-    }
-
-    #[test]
     fn segmented_kind_matches_ring_kind_cell_by_cell() {
         // ProcessKind::RotorSegmented must be a pure backend swap: same
         // cover, same rounds, for every cell — whatever ROTOR_SEGMENTS is
@@ -617,7 +560,7 @@ mod tests {
         }
         .scenarios();
         let ring: Vec<CoverSample> = run_sharded(&scenarios, 2, |_, s| {
-            run_scenario(s, ProcessKind::RotorRing, 1 << 22)
+            run_scenario(s, ProcessKind::Rotor, 1 << 22)
         });
         let seg: Vec<CoverSample> = run_sharded(&scenarios, 2, |_, s| {
             run_scenario(s, ProcessKind::RotorSegmented, 1 << 22)
@@ -673,12 +616,13 @@ mod tests {
 
     #[test]
     fn batched_kind_matches_every_ring_backend_cell_by_cell() {
-        // Satellite pin: one ScenarioGrid through RotorGeneral,
-        // RotorSegmented and RotorBatched must produce field-identical
-        // reports under `xtask compare` semantics — every CoverSample
-        // field except `nanos` (a declared NONDETERMINISTIC_FIELDS timing
-        // column) and `backend` (compare-stable *within* a backend; across
-        // backends it differs by construction and is asserted exactly).
+        // One ScenarioGrid through RotorGeneral, RotorSegmented and the
+        // batched sweep at W ∈ {1, 4} must produce field-identical reports
+        // under `xtask compare` semantics — every CoverSample field except
+        // `nanos` (a declared NONDETERMINISTIC_FIELDS timing column) and
+        // `backend` (compare-stable *within* a backend; across backends it
+        // differs by construction and is asserted exactly).
+        use crate::batch::{run_scenarios_batched, BatchParams};
         let scenarios = ScenarioGrid {
             families: vec![GraphFamily::Ring],
             ns: vec![32, 61],
@@ -694,28 +638,35 @@ mod tests {
         };
         let general = run(ProcessKind::RotorGeneral);
         let seg = run(ProcessKind::RotorSegmented);
-        let batched = run(ProcessKind::RotorBatched);
-        for ((g, s), b) in general.iter().zip(&seg).zip(&batched) {
-            let deterministic =
-                |c: &CoverSample| (c.n, c.k, c.seed_index, c.seed, c.cover, c.rounds);
-            assert_eq!(
-                deterministic(g),
-                deterministic(b),
-                "batched backend diverged at n={} k={} seed={}",
-                g.n,
-                g.k,
-                g.seed
-            );
-            assert_eq!(deterministic(s), deterministic(b));
-            assert_eq!(b.backend, "rotor_ring_batch");
+        let params = |_: &Scenario| BatchParams {
+            budget: 1 << 22,
+            stride: 1 << 22,
+        };
+        let deterministic = |c: &CoverSample| (c.n, c.k, c.seed_index, c.seed, c.cover, c.rounds);
+        for width in [1, 4] {
+            let batched = run_scenarios_batched(&scenarios, 2, width, params);
+            for ((g, s), b) in general.iter().zip(&seg).zip(&batched) {
+                let b = &b.sample;
+                assert_eq!(
+                    deterministic(g),
+                    deterministic(b),
+                    "width {width} diverged at n={} k={} seed={}",
+                    g.n,
+                    g.k,
+                    g.seed
+                );
+                assert_eq!(deterministic(s), deterministic(b));
+                assert_eq!(b.backend, "rotor_ring_batch");
+            }
         }
     }
 
     #[test]
     fn batched_kind_observer_matches_serial_run() {
-        // Satellite pin, sweep side: an observer attached through the
-        // RotorBatched kind rides the single-lane fallback and must record
-        // exactly what the serial ring backend records.
+        // The batched sweep's native §2.2 sampling at W ∈ {1, 4} records
+        // exactly what a DomainSampler attached to the serial ring
+        // backend records.
+        use crate::batch::{run_scenarios_batched, BatchParams};
         use rotor_core::domains::DomainSampler;
         let scenarios = ScenarioGrid {
             families: vec![GraphFamily::Ring],
@@ -727,19 +678,29 @@ mod tests {
             init: InitSpec::Random,
         }
         .scenarios();
-        for sc in &scenarios {
-            let mut serial = DomainSampler::every(2);
-            let want = run_scenario_observed(sc, ProcessKind::RotorRing, 1 << 22, &mut serial);
-            let mut batched = DomainSampler::every(2);
-            let got = run_scenario_observed(sc, ProcessKind::RotorBatched, 1 << 22, &mut batched);
-            assert_eq!((want.cover, want.rounds), (got.cover, got.rounds));
-            assert_eq!(serial.samples, batched.samples, "observer trace drift");
+        let params = |_: &Scenario| BatchParams {
+            budget: 1 << 22,
+            stride: 2,
+        };
+        for width in [1, 4] {
+            let batched = run_scenarios_batched(&scenarios, 2, width, params);
+            for (sc, got) in scenarios.iter().zip(&batched) {
+                let mut serial = DomainSampler::every(2);
+                let want = run_scenario_observed(sc, ProcessKind::Rotor, 1 << 22, &mut serial);
+                assert_eq!(
+                    (want.cover, want.rounds),
+                    (got.sample.cover, got.sample.rounds)
+                );
+                assert_eq!(serial.samples, got.domain_samples, "width {width} drift");
+            }
         }
     }
 
     #[test]
-    #[should_panic(expected = "RotorBatched requires the Ring family")]
-    fn batched_on_non_ring_panics() {
+    #[should_panic(expected = "only defined for the Ring family")]
+    fn rotor_ring_on_non_ring_panics() {
+        // The RingRouter fast path takes its direction bits from the
+        // scenario, so a non-ring cell can never reach it silently.
         let sc = Scenario {
             family: GraphFamily::Complete,
             n: 8,
@@ -749,7 +710,29 @@ mod tests {
             placement: PlacementSpec::AllOnOne,
             init: InitSpec::Uniform(0),
         };
-        run_scenario(&sc, ProcessKind::RotorBatched, 100);
+        let positions = sc.positions();
+        RingRouter::new(sc.n, &positions, &sc.ring_directions(&positions));
+    }
+
+    #[test]
+    #[should_panic(expected = "only defined for the Ring family")]
+    fn batched_on_non_ring_panics() {
+        // A batch unit only holds ring cells; forcing a non-ring cell into
+        // one panics instead of stepping a ring on the wrong graph.
+        let sc = Scenario {
+            family: GraphFamily::Complete,
+            n: 8,
+            k: 1,
+            seed_index: 0,
+            seed: 1,
+            placement: PlacementSpec::AllOnOne,
+            init: InitSpec::Uniform(0),
+        };
+        let params = |_: &Scenario| crate::batch::BatchParams {
+            budget: 100,
+            stride: 1,
+        };
+        crate::batch::run_batch_unit(&[sc], 0, 1, &params);
     }
 
     #[test]
@@ -784,7 +767,8 @@ mod tests {
 
     #[test]
     fn timeout_yields_none_with_rounds_spent() {
-        let cell = Cell {
+        let cell = Scenario {
+            family: GraphFamily::Ring,
             n: 256,
             k: 1,
             seed_index: 0,
@@ -792,7 +776,7 @@ mod tests {
             placement: PlacementSpec::AllOnOne,
             init: InitSpec::TowardNearestAgent,
         };
-        let s = run_cover_cell(&cell, ProcessKind::RotorRing, 10);
+        let s = run_scenario(&cell, ProcessKind::Rotor, 10);
         assert_eq!(s.cover, None);
         assert_eq!(s.rounds, 10);
     }

@@ -11,12 +11,10 @@
 //! [`run_sharded`](crate::driver::run_sharded) driver as every ring
 //! experiment.
 //!
-//! Seed derivation is identical to the legacy [`Cell`](crate::grid::Cell)
-//! lattice (splitmix64 of the mixed base seed and the enumeration index):
-//! a single-family `Ring` grid enumerates exactly the seeds of the
-//! equivalent [`SweepGrid`](crate::grid::SweepGrid), which is what keeps
-//! ring scenario results bit-identical to the old cell path (pinned by
-//! tests).
+//! Seed derivation is splitmix64 of the mixed base seed and the
+//! enumeration index — the derivation of the ring-only cell lattice that
+//! preceded scenarios, so a single-family `Ring` grid enumerates exactly
+//! that lattice's seeds (pinned by tests against recorded values).
 //!
 //! ```
 //! use rotor_sweep::{
@@ -41,8 +39,8 @@
 //! assert!(samples.iter().all(|s| s.cover.is_some()));
 //! ```
 
-use crate::grid::{splitmix64, InitSpec, PlacementSpec};
-use rotor_core::rng::{stream, STREAM_GRAPH};
+use crate::grid::{InitSpec, PlacementSpec};
+use rotor_core::rng::{splitmix64, stream, STREAM_GRAPH};
 use rotor_graph::{builders, PortGraph};
 
 /// A named graph family a [`Scenario`] resolves on.
@@ -197,9 +195,9 @@ impl GraphFamily {
 /// One experiment point: everything a runner needs to measure one sample,
 /// independent of every other scenario.
 ///
-/// The generalisation of the legacy ring-only [`Cell`](crate::grid::Cell):
-/// same placement/init specs, same per-scenario seed discipline, plus the
-/// graph family.
+/// Placement and pointer init come from the seed-bearing
+/// [`PlacementSpec`] and [`InitSpec`], resolved against
+/// [`seed`](Self::seed).
 #[derive(Clone, Copy, Debug)]
 pub struct Scenario {
     /// Graph family the scenario runs on.
@@ -251,8 +249,7 @@ impl Scenario {
 
 /// A rectangular scenario grid: the cartesian product
 /// `families × ns × ks × (0..seed_count)` under one placement and one
-/// pointer-init spec — the family-axis generalisation of
-/// [`SweepGrid`](crate::grid::SweepGrid).
+/// pointer-init spec.
 #[derive(Clone, Debug)]
 pub struct ScenarioGrid {
     /// Graph families to sweep (outermost axis).
@@ -278,10 +275,9 @@ impl ScenarioGrid {
     /// major, then `n`, then `k`, then seed index), each with its derived
     /// seed.
     ///
-    /// The seed of scenario `i` is `splitmix64(splitmix64(base_seed) ^ i)`
-    /// — identical to [`SweepGrid::cells`](crate::grid::SweepGrid::cells),
-    /// so a single-family `Ring` grid reproduces the legacy cell seeds
-    /// exactly.
+    /// The seed of scenario `i` is `splitmix64(splitmix64(base_seed) ^ i)`,
+    /// so a single-family `Ring` grid reproduces the seeds of the ring-only
+    /// cell lattice every committed ring report was measured on.
     ///
     /// # Panics
     ///
@@ -292,7 +288,9 @@ impl ScenarioGrid {
             self.families.len() * self.ns.len() * self.ks.len() * self.seed_count,
         );
         // Mix the base seed through splitmix *before* combining with the
-        // index (see SweepGrid::cells for the shifted-stream rationale).
+        // index: `splitmix64(base + index)` would make grids with nearby
+        // base seeds share shifted-identical seed streams (base 100's
+        // scenario i == base 99's scenario i+1).
         let mixed_base = splitmix64(self.base_seed);
         for &family in &self.families {
             for &n in &self.ns {
@@ -345,7 +343,6 @@ impl ScenarioGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::SweepGrid;
 
     fn ring_grid() -> ScenarioGrid {
         ScenarioGrid {
@@ -373,8 +370,8 @@ mod tests {
 
     #[test]
     fn scenario_seeds_are_distinct_and_reproducible() {
-        // Mirror of grid::cell_seeds_are_distinct_and_reproducible on the
-        // scenario lattice, with a multi-family axis.
+        // grid::tests::cell_seeds_are_distinct_and_reproducible with a
+        // multi-family axis.
         let mut g = ring_grid();
         g.families = vec![GraphFamily::Ring, GraphFamily::Torus { rows: 4, cols: 8 }];
         g.ns = vec![32];
@@ -393,28 +390,31 @@ mod tests {
 
     #[test]
     fn ring_scenarios_reproduce_legacy_cell_seeds() {
-        let cells = SweepGrid {
-            ns: vec![32, 64],
-            ks: vec![1, 2, 4],
-            seed_count: 3,
-            base_seed: 99,
-            placement: PlacementSpec::Random,
-            init: InitSpec::Random,
-        }
-        .cells();
-        let scenarios = ring_grid().scenarios();
-        assert_eq!(cells.len(), scenarios.len());
-        for (c, s) in cells.iter().zip(&scenarios) {
-            assert_eq!(
-                (c.n, c.k, c.seed_index, c.seed),
-                (s.n, s.k, s.seed_index, s.seed)
-            );
-            assert_eq!(c.positions(), s.positions());
-            assert_eq!(
-                c.ring_directions(&c.positions()),
-                s.ring_directions(&s.positions())
-            );
-        }
+        // The seeds of the ring-only cell lattice on the same axes,
+        // recorded from that lattice before it was removed: every ring
+        // report measured on it keeps its inputs.
+        const LEGACY: [u64; 18] = [
+            0x821052991f535b66,
+            0xde1a867e97873bd6,
+            0x9a5f09b26fa187e1,
+            0x67cca1249855b267,
+            0x104a5cc814035e97,
+            0xb2b1a8a6e515938d,
+            0xfad133590e9d5279,
+            0x635e12c6f0c637d9,
+            0x58f522e51cde19a2,
+            0x2358b6d7e8741dde,
+            0xf0e4f5081fec8cc9,
+            0x8d605da4204519e9,
+            0x66d3993fd0594bd1,
+            0x3df75de445a9d3d2,
+            0x80945b2a69a73536,
+            0x11deba23e8e2e25a,
+            0xb44b214a3fe93f23,
+            0x4b6570b58592e383,
+        ];
+        let seeds: Vec<u64> = ring_grid().scenarios().iter().map(|s| s.seed).collect();
+        assert_eq!(seeds, LEGACY);
     }
 
     #[test]
