@@ -223,13 +223,15 @@ impl<'g> Engine<'g> {
                 }
             } else {
                 for (p, &dest) in nbrs.iter().enumerate() {
-                    // ports ptr, ptr+1, …, ptr+rem−1 get one extra traversal
+                    // ports ptr, ptr+1, …, ptr+rem−1 get one extra traversal;
+                    // p + deg − ptr < 2·deg ≤ arcs < 2³² (no self-loops or
+                    // duplicate neighbours, arcs capped at u32::MAX): no wrap
                     let offset = (p as u32 + deg - ptr) % deg;
                     let cnt = full + u32::from(offset < rem);
                     arrivals.push((dest, cnt));
                 }
             }
-            self.pointers[v as usize] = (ptr + moving) % deg;
+            self.pointers[v as usize] = (ptr + rem) % deg;
         }
         // Arrivals: accumulate straight into the agent counts — no sorting
         // of the arrival stream. Each node enters `next_occ` at most once

@@ -32,11 +32,9 @@
 //!   torus in `P` contiguous row bands exchanging their two boundary
 //!   *rows* of agent counts (an `O(cols)` message) at the barrier,
 //!   bit-identical to [`Engine`] on the torus at every `P`.
-//! * [`BatchRing`] — the dual, *across-cell* cut: `W` independent
-//!   same-shape ring cells advanced in lockstep in one cell-major SoA
-//!   arena (`ROTOR_BATCH` selects `W`), each lane bit-identical to a
-//!   serial [`RingRouter`] run and read through per-lane accessors (a
-//!   batch is not a [`CoverProcess`]).
+//! * [`BatchRing`] — `W` independent same-size ring cells, each lane a
+//!   one-segment [`RingRouter`] (`ROTOR_BATCH` selects `W`), read
+//!   through per-lane accessors (a batch is not a [`CoverProcess`]).
 //! * [`init`] — the pointer initialisations the paper's theorems use:
 //!   *negative* (toward the nearest agent — every first visit reflects),
 //!   *positive* (away), uniform, random and custom adversarial.

@@ -68,8 +68,9 @@ pub trait Probe<P: CoverProcess + ?Sized>: Observer<P> {
 /// [`SegmentedRing`](crate::SegmentedRing)) and
 /// [`SegmentedTorus`](crate::SegmentedTorus) (the deterministic
 /// rotor-routers), and `rotor_walks::ParallelWalk` (`k` independent seeded
-/// random walkers). [`BatchRing`](crate::BatchRing) is not one: it runs
-/// many cells and is read through its per-lane accessors.
+/// random walkers). [`BatchRing`](crate::BatchRing) is not one: it holds
+/// many [`RingRouter`](crate::RingRouter) lanes and is read through its
+/// per-lane accessors.
 ///
 /// ```
 /// use rotor_core::{init::PointerInit, placement::Placement, CoverProcess, RingRouter};

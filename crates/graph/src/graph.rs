@@ -220,18 +220,6 @@ impl PortGraph {
         (self.offsets[v.index() + 1] - self.offsets[v.index()]) as usize
     }
 
-    /// The global CSR index of the arc leaving `v` through port 0; the arc
-    /// through port `p` has index `arc_offset(v) + p`. Arc indices cover
-    /// `0..arc_count()` without gaps, in `(node, port)` order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[inline]
-    pub fn arc_offset(&self, v: NodeId) -> usize {
-        self.offsets[v.index()] as usize
-    }
-
     /// The neighbours of `v` in port order, as a contiguous slice of raw
     /// node indices (the hot-path form of [`neighbors`](Self::neighbors)).
     ///
@@ -667,18 +655,14 @@ mod tests {
     #[test]
     fn csr_layout_is_contiguous_and_consistent() {
         let g = triangle();
-        assert_eq!(g.arc_offset(NodeId::new(0)), 0);
-        let mut expected = 0;
         for v in g.nodes() {
-            assert_eq!(g.arc_offset(v), expected, "offsets contiguous");
             let slice = g.neighbor_slice(v);
             assert_eq!(slice.len(), g.degree(v));
             for (p, &u) in slice.iter().enumerate() {
                 assert_eq!(g.neighbor(v, p), NodeId::new(u));
             }
-            expected += g.degree(v);
         }
-        assert_eq!(expected, g.arc_count());
+        assert_eq!(g.nodes().map(|v| g.degree(v)).sum::<usize>(), g.arc_count());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The batched grid runner: groups same-shape ring cells into
-//! [`BatchRing`] lockstep batches and runs everything else serially, from
+//! [`BatchRing`] batches and runs everything else serially, from
 //! one combined work queue.
 //!
 //! [`run_scenarios_batched`] is the throughput path the campaigns use for
@@ -16,8 +16,8 @@
 //! caps shards at the unit count so short queues re-grant their surplus
 //! budget to intra-unit segment workers.
 //!
-//! Determinism: the batch width only selects how many cells share an arena
-//! pass. Per-cell covers, rounds and §2.2 domain samples are bit-identical
+//! Determinism: the batch width only selects how many cells share one
+//! unit. Per-cell covers, rounds and §2.2 domain samples are bit-identical
 //! to the serial path at every `W` (pinned by the tests below on top of
 //! the `batch_equivalence` property suite), and the backend label is
 //! `"rotor_ring_batch"` for every ring cell at every `W` — a width-1 batch
@@ -55,7 +55,7 @@ pub struct ObservedCover {
     pub domain_samples: Vec<DomainSample>,
 }
 
-/// One entry of the combined work queue: a lockstep batch of contiguous
+/// One entry of the combined work queue: a batch of contiguous
 /// same-shape ring cells, or a single serial straggler.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Unit {
@@ -105,9 +105,9 @@ pub fn unit_count(scenarios: &[Scenario], width: usize) -> usize {
     plan_units(scenarios, width).len()
 }
 
-/// Runs one batch unit: builds the lockstep arena, drives every lane to
-/// cover or budget with native §2.2 sampling, and scatters the per-lane
-/// results back to their input indices.
+/// Runs one batch unit: builds one [`BatchRing`], drives every lane to
+/// cover or budget with §2.2 sampling, and scatters the per-lane results
+/// back to their input indices.
 pub(crate) fn run_batch_unit(
     scenarios: &[Scenario],
     start: usize,
@@ -135,9 +135,9 @@ pub(crate) fn run_batch_unit(
     let timer = Instant::now();
     let mut batch = BatchRing::new(cells[0].n, &specs);
     let samples = batch.run_until_covered_sampled(p.budget, p.stride);
-    // One timer spans the whole unit: lanes advance interleaved, so
-    // per-lane wall time is not separable. nanos is a declared
-    // nondeterministic field either way.
+    // One timer spans the whole unit, and every lane reports it: lanes run
+    // one after another inside run_until_covered_sampled, which times none
+    // of them on its own. nanos is a declared nondeterministic field.
     let nanos = timer.elapsed().as_nanos() as u64;
     samples
         .into_iter()
@@ -166,8 +166,8 @@ pub(crate) fn run_batch_unit(
 }
 
 /// Runs one serial straggler through the per-cell observed path with an
-/// attached [`DomainSampler`] — the exact surface a batched ring lane
-/// replicates natively.
+/// attached [`DomainSampler`] — the same observed run each batched ring
+/// lane makes.
 fn run_serial_unit(
     scenarios: &[Scenario],
     index: usize,

@@ -31,7 +31,7 @@
 //!   and the random walk.
 //! * [`batch`] — the batched throughput path:
 //!   [`run_scenarios_batched`] cuts a scenario list into a combined queue
-//!   of [`BatchRing`](rotor_core::BatchRing) lockstep batches (contiguous
+//!   of [`BatchRing`](rotor_core::BatchRing) batches (contiguous
 //!   same-shape ring cells, `ROTOR_BATCH` lanes at a time) and serial
 //!   stragglers, bit-identical to the per-cell path at every width.
 //! * [`recovery`] — fault-injection recovery measurement: a

@@ -381,10 +381,10 @@ fn speedup_ns(scale: Scale) -> &'static [usize] {
 
 fn speedup_seed_count(scale: Scale) -> usize {
     match scale {
-        // 16 seeds per point: the batched ring backend advances a whole
-        // point's repetitions in one arena pass, so the seed axis is close
-        // to free there, and the extra repetitions tighten the bootstrap
-        // bands and pooled exponents everywhere.
+        // 16 seeds per point: ring cells cost O(k) per round on the lean
+        // ring kernel, so the seed axis is cheap there, and the extra
+        // repetitions tighten the bootstrap bands and pooled exponents
+        // everywhere.
         Scale::Full => 16,
         Scale::Smoke => 2,
         Scale::Test => 1,
@@ -472,7 +472,7 @@ fn run_speedup_unit(family: GraphFamily, n: usize, seed_count: usize, threads: u
     };
     let scenarios = grid.scenarios();
     // Rotor cells go through the batched driver: contiguous same-(n, k)
-    // ring repetitions share one BatchRing arena pass (width from
+    // ring repetitions share one BatchRing unit (width from
     // ROTOR_BATCH, bit-identical at every setting), other families run
     // serially from the same combined queue. Params are precomputed so
     // RandomRegular's per-draw diameter BFS runs once per cell.
